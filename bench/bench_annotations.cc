@@ -3,17 +3,13 @@
 // Part 1 — Figure 9: annotated functions / function-pointer types per
 // module, all vs unique, plus the capability-iterator count (§8.2).
 //
-// Part 2 — compiled-vs-interpreted guard ablation: the same wrapper
-// crossings and annotation-action evaluations run under three runtime
-// configurations —
-//   interpreter      (compiled_guards=false): recursive AST walk per crossing
-//   compiled         (compiled_guards=true, enforcement_memo=false): the
-//                    GuardProgram switch-loop, no pre-check memo
-//   compiled+memo    (the shipping default)
-// — quantifying what the registration-time compile pass buys at request
-// time. With --json PATH the ablation rows are also written as a JSON array
-// (the CI bench-smoke job uploads that file as an artifact).
+// Part 2 — compiled guard cost: ns per wrapper crossing pair and per
+// guard-program evaluation of the GuardProgram the registration-time
+// compile pass produced (pre-check memo included). With --json PATH the
+// rows are also written in the shared bench schema (the CI bench-smoke job
+// uploads that file as an artifact).
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -31,12 +27,9 @@
 namespace {
 
 struct Fixture {
-  explicit Fixture(bool compiled, bool memo) {
-    lxfi::RuntimeOptions opt;
-    opt.compiled_guards = compiled;
-    opt.enforcement_memo = memo;
+  Fixture() {
     kernel = std::make_unique<kern::Kernel>();
-    rt = std::make_unique<lxfi::Runtime>(kernel.get(), opt);
+    rt = std::make_unique<lxfi::Runtime>(kernel.get());
     lxfi::InstallKernelApi(kernel.get(), rt.get());
     kern::ModuleDef def;
     def.name = "benchmod";
@@ -86,13 +79,11 @@ double TimeNs(uint64_t iters, Fn&& body) {
 
 struct Row {
   std::string name;
-  double interp_ns = 0;
-  double compiled_ns = 0;
-  double memo_ns = 0;
+  double ns = 0;
 };
 
-// The per-configuration workloads. Each runs module-privileged so the
-// wrappers take the full enforcement path.
+// The workloads. Each runs module-privileged so the wrappers take the full
+// enforcement path.
 double RunWorkload(Fixture& f, int which, uint64_t iters) {
   lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
   switch (which) {
@@ -107,7 +98,7 @@ double RunWorkload(Fixture& f, int which, uint64_t iters) {
         f.kfree(p);
       });
     default: {  // guard evaluation only: pre+post of an expression-heavy set
-      const lxfi::AnnotationSet* set = f.rt->annotations().Find("bench_expr_fn");
+      const lxfi::GuardProgram& prog = *f.rt->annotations().Find("bench_expr_fn")->program;
       uint64_t args[3] = {reinterpret_cast<uint64_t>(f.obj), 64, 3};
       lxfi::CallEnv env;
       env.mc = f.rt->CtxOf(f.module);
@@ -118,28 +109,25 @@ double RunWorkload(Fixture& f, int which, uint64_t iters) {
       env.ret = 0;
       env.what = "bench_expr_fn";
       return TimeNs(iters, [&] {
-        f.rt->RunActions(set, env, /*post=*/false);
-        f.rt->RunActions(set, env, /*post=*/true);
+        f.rt->RunGuards(prog, env, /*post=*/false);
+        f.rt->RunGuards(prog, env, /*post=*/true);
       });
     }
   }
 }
 
-std::vector<Row> RunAblation() {
-  Fixture interp(/*compiled=*/false, /*memo=*/true);
-  Fixture compiled(/*compiled=*/true, /*memo=*/false);
-  Fixture memo(/*compiled=*/true, /*memo=*/true);
+std::vector<Row> RunGuardCost() {
+  Fixture f;
   // An expression-heavy pure-check set for the action-only row: two
   // conditionals, arithmetic, and two inline checks per pre+post evaluation.
   const char* kExprText =
       "pre(if ((b + 8) > (c - 1)) check(write, a, 64)) "
       "pre(check(write, a + 8, 8)) "
       "post(if (return <= b) check(write, a, 16))";
-  for (Fixture* f : {&interp, &compiled, &memo}) {
-    lxfi::Status st = f->rt->annotations().Register("bench_expr_fn", {"a", "b", "c"}, kExprText);
-    if (!st.ok()) {
-      std::fprintf(stderr, "bench_expr_fn registration failed: %s\n", st.ToString().c_str());
-    }
+  lxfi::Status st = f.rt->annotations().Register("bench_expr_fn", {"a", "b", "c"}, kExprText);
+  if (!st.ok()) {
+    std::fprintf(stderr, "bench_expr_fn registration failed: %s\n", st.ToString().c_str());
+    std::exit(1);
   }
 
   const char* kNames[] = {
@@ -150,36 +138,25 @@ std::vector<Row> RunAblation() {
   constexpr uint64_t kIters[] = {400000, 150000, 400000};
   std::vector<Row> rows;
   for (int w = 0; w < 3; ++w) {
-    Row row;
-    row.name = kNames[w];
-    row.interp_ns = RunWorkload(interp, w, kIters[w]);
-    row.compiled_ns = RunWorkload(compiled, w, kIters[w]);
-    row.memo_ns = RunWorkload(memo, w, kIters[w]);
-    rows.push_back(row);
+    rows.push_back(Row{kNames[w], RunWorkload(f, w, kIters[w])});
   }
   return rows;
 }
 
-void PrintAblation(const std::vector<Row>& rows) {
-  std::printf("=== Compiled-vs-interpreted guard ablation ===\n");
-  std::printf("%-52s %12s %12s %12s %9s\n", "workload", "interp ns", "compiled ns", "+memo ns",
-              "speedup");
+void PrintGuardCost(const std::vector<Row>& rows) {
+  std::printf("=== Compiled guard cost ===\n");
+  std::printf("%-52s %12s\n", "workload", "ns");
   for (const Row& r : rows) {
-    std::printf("%-52s %12.1f %12.1f %12.1f %8.2fx\n", r.name.c_str(), r.interp_ns, r.compiled_ns,
-                r.memo_ns, r.interp_ns / r.memo_ns);
+    std::printf("%-52s %12.1f\n", r.name.c_str(), r.ns);
   }
-  std::printf("(speedup = interpreter / compiled+memo, the shipping configuration)\n\n");
+  std::printf("\n");
 }
 
 void WriteJson(const std::vector<Row>& rows, const char* path) {
   lxfibench::JsonWriter json("bench_annotations");
-  json.Meta("mode", "compiled_vs_interpreted");
+  json.Meta("mode", "compiled_guard_cost");
   for (const Row& r : rows) {
-    json.AddRow(r.name)
-        .Set("interpreted_ns", r.interp_ns)
-        .Set("compiled_ns", r.compiled_ns)
-        .Set("compiled_memo_ns", r.memo_ns)
-        .Set("speedup", r.interp_ns / r.memo_ns);
+    json.AddRow(r.name).Set("ns", r.ns);
   }
   json.WriteFile(path);
 }
@@ -195,8 +172,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<Row> rows = RunAblation();
-  PrintAblation(rows);
+  std::vector<Row> rows = RunGuardCost();
+  PrintGuardCost(rows);
   if (json_path != nullptr) {
     WriteJson(rows, json_path);
   }

@@ -283,21 +283,18 @@ int RunBlock(const eval::FsperfConfig& base, lxfibench::JsonWriter* json,
 
 // Shared-directory contended scaling: every CPU creates/stats/unlinks its
 // own names in ONE hot directory, so all walks and all dcache writers hit
-// the same parent index. Three configurations per CPU count:
-//   - enforced, RCU-walk dcache (the default)
-//   - enforced, single-lock dcache (the pre-RCU ablation: one global
-//     spinlock + O(n) linear scan per component)
-//   - stock, RCU-walk dcache
-// The rcu/locked ratio is the headline: it is what converting the last
-// global enforcement-path lock into the sharded/epoch architecture buys.
+// the same parent index through the RCU walk. Two configurations per CPU
+// count — enforced and stock — and the enforced/stock ratio is the
+// headline: what enforcement costs when every CPU contends on one
+// directory.
 int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench::JsonWriter* json,
                  const char* stats_path) {
   std::printf("=== fsperf contended: one shared hot directory, all CPUs ===\n");
   std::printf("(%llu files/cpu x %u stats x %u rounds)\n",
               static_cast<unsigned long long>(config.files), config.stats_per_file,
               config.rounds);
-  std::printf("%-5s %16s %18s %12s %16s %12s\n", "cpus", "lxfi rcu ops/s",
-              "lxfi locked ops/s", "rcu/locked", "stock rcu ops/s", "lxfi ns/op");
+  std::printf("%-5s %16s %16s %16s %12s %12s\n", "cpus", "lxfi model ops/s", "lxfi wall ops/s",
+              "stock model ops/s", "lxfi/stock", "lxfi ns/op");
   if (json != nullptr) {
     json->Meta("mode", "contended");
     json->Meta("files_per_cpu", static_cast<double>(config.files));
@@ -306,8 +303,7 @@ int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench:
   }
   int rc = 0;
   for (int n = 1; n <= max_cpus; ++n) {
-    eval::FsScalingResult rcu;
-    eval::FsScalingResult locked;
+    eval::FsScalingResult lx;
     eval::FsScalingResult stock;
     uint64_t violations = 0;
     eval::FsContendedConfig warm = config;
@@ -315,17 +311,11 @@ int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench:
     {
       eval::FsperfHarness h(/*isolated=*/true, /*cpus=*/n);
       h.RunContended(warm);
-      rcu = h.RunContended(config);
+      lx = h.RunContended(config);
       violations = h.runtime()->violation_count();
       if (n == max_cpus && stats_path != nullptr) {
         DumpStatsFile(*h.runtime(), stats_path, "lxfi_stats_fsperf_contended");
       }
-    }
-    {
-      eval::FsperfHarness h(/*isolated=*/true, /*cpus=*/n, /*locked_dcache=*/true);
-      h.RunContended(warm);
-      locked = h.RunContended(config);
-      violations += h.runtime()->violation_count();
     }
     {
       eval::FsperfHarness h(/*isolated=*/false, /*cpus=*/n);
@@ -337,19 +327,17 @@ int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench:
                    static_cast<unsigned long long>(violations));
       rc = 1;
     }
-    double ratio = locked.ModelOps() > 0 ? rcu.ModelOps() / locked.ModelOps() : 0.0;
-    std::printf("%-5d %16.0f %18.0f %11.2fx %16.0f %12.1f\n", n, rcu.ModelOps(),
-                locked.ModelOps(), ratio, stock.ModelOps(), rcu.PerOpCpuNs());
+    double ratio = stock.ModelOps() > 0 ? lx.ModelOps() / stock.ModelOps() : 0.0;
+    std::printf("%-5d %16.0f %16.0f %16.0f %11.2fx %12.1f\n", n, lx.ModelOps(), lx.WallOps(),
+                stock.ModelOps(), ratio, lx.PerOpCpuNs());
     if (json != nullptr) {
       json->AddRow("contended_cpus=" + std::to_string(n))
           .Set("cpus", n)
-          .Set("lxfi_rcu_model_ops_per_sec", rcu.ModelOps())
-          .Set("lxfi_rcu_wall_ops_per_sec", rcu.WallOps())
-          .Set("lxfi_rcu_ns_per_op", rcu.PerOpCpuNs())
-          .Set("lxfi_locked_model_ops_per_sec", locked.ModelOps())
-          .Set("lxfi_locked_ns_per_op", locked.PerOpCpuNs())
-          .Set("rcu_over_locked", ratio)
-          .Set("stock_rcu_model_ops_per_sec", stock.ModelOps())
+          .Set("lxfi_model_ops_per_sec", lx.ModelOps())
+          .Set("lxfi_wall_ops_per_sec", lx.WallOps())
+          .Set("lxfi_ns_per_op", lx.PerOpCpuNs())
+          .Set("stock_model_ops_per_sec", stock.ModelOps())
+          .Set("lxfi_over_stock", ratio)
           .Set("violations", static_cast<double>(violations));
     }
   }

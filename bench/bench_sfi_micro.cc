@@ -314,8 +314,8 @@ void RunArenaAblation(lxfibench::JsonWriter* json) {
   std::printf("%-40s %12.2f %9.2fx\n", "cold flat probe (no memo)", t_cold, t_ping / t_cold);
   std::printf("(speedups relative to the alternating-object memo path; sink %llu)\n",
               static_cast<unsigned long long>(sink % 7));
-  std::printf("\narena fast path is %.2fx vs the PR 1/2 memo path on the same own-heap\n"
-              "stream, %.2fx vs the pure memo-hit steady state (target: >= 1.5x)\n\n",
+  std::printf("\narena fast path is %.2fx vs the memo + flat-table path on the same own-heap\n"
+              "stream (target: >= 1.5x), %.2fx vs the pure memo-hit steady state\n\n",
               t_ping / t_arena, t_hit / t_arena);
   Require(t_ping / t_arena >= 1.5,
           "arena fast path must be >= 1.5x vs the memoized cap-table path on own-heap stores");

@@ -61,8 +61,8 @@ struct FsperfHarness::Impl {
   std::unique_ptr<kern::CpuSet> cpus;
 };
 
-FsperfHarness::FsperfHarness(bool isolated, int cpus, bool locked_dcache)
-    : FsperfHarness(FsperfHarnessOptions{isolated, cpus, locked_dcache}) {}
+FsperfHarness::FsperfHarness(bool isolated, int cpus)
+    : FsperfHarness(FsperfHarnessOptions{isolated, cpus}) {}
 
 FsperfHarness::FsperfHarness(const FsperfHarnessOptions& options) : impl_(new Impl()) {
   const int cpus = options.cpus;
@@ -87,9 +87,6 @@ FsperfHarness::FsperfHarness(const FsperfHarnessOptions& options) : impl_(new Im
     rt_->EnablePartitionedHeaps();
   }
   vfs_ = kern::GetVfs(kernel_);
-  if (options.locked_dcache) {
-    vfs_->dcache().set_locked_mode(true);  // ablation: the pre-RCU dcache
-  }
   if (options.block_backing) {
     kern::BlockLayer* block = kern::GetBlockLayer(kernel_);
     kern::BlockDevice* top = block->CreateRamDisk("fsdisk0", kFsDiskBlocks);

@@ -201,6 +201,10 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
   data_frame[0] = static_cast<uint8_t>(kTestProto & 0xff);
   data_frame[1] = static_cast<uint8_t>(kTestProto >> 8);
 
+  // The NIC's frame counters are cumulative over the harness's lifetime;
+  // every count below is this run's delta.
+  const uint64_t tx_before = hw->frames_tx();
+  const uint64_t rx_before = hw->frames_rx();
   uint64_t start = lxfi::MonotonicNowNs();
   switch (config.workload) {
     case NetWorkload::kUdpStreamTx: {
@@ -215,7 +219,7 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
         }
       }
       hw->ProcessTx();
-      result.packets = hw->frames_tx();
+      result.packets = hw->frames_tx() - tx_before;
       break;
     }
     case NetWorkload::kUdpStreamRx: {
@@ -251,7 +255,7 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
       hw->ProcessTx();
       hw->FlushRxIrq();
       stack->RunSoftirq(64);
-      result.packets = hw->frames_tx();
+      result.packets = hw->frames_tx() - tx_before;
       break;
     }
     case NetWorkload::kTcpStreamRx: {
@@ -305,7 +309,7 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
     result.kernel_indcalls =
         rt_->guards().count(lxfi::GuardType::kIndCallAll) - before_indcalls;
   }
-  result.driver_calls = hw->frames_tx() + hw->frames_rx();
+  result.driver_calls = (hw->frames_tx() - tx_before) + (hw->frames_rx() - rx_before);
   return result;
 }
 

@@ -57,13 +57,11 @@ uint32_t SbOpenFiles(const SuperBlock* sb) {
 // parent -> victim nesting — no two multi-lock holders can deadlock.
 class DoubleLockGuard {
  public:
-  DoubleLockGuard(Dcache& dc, Dentry* a, Dentry* b) {
-    first_ = &dc.writer_lock(a);
-    lxfi::Spinlock* second = &dc.writer_lock(b);
+  DoubleLockGuard(Dentry* a, Dentry* b) {
+    first_ = &a->child_lock;
+    lxfi::Spinlock* second = &b->child_lock;
     if (second == first_) {
-      // Same directory, or locked (ablation) mode where every parent maps
-      // to the one global lock.
-      second = nullptr;
+      second = nullptr;  // same directory
     } else if (b->depth < a->depth ||
                (b->depth == a->depth &&
                 reinterpret_cast<uintptr_t>(b) < reinterpret_cast<uintptr_t>(a))) {
@@ -253,7 +251,7 @@ Dentry* Vfs::LookupChild(Dentry* parent, const char* name) {
     // it); the locked probe is authoritative. A dying parent (rmdir in
     // flight — its inode may already be freed by the module) must not be
     // dispatched into at all.
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     if ((Dcache::FlagsOf(parent) & kDentryDying) != 0) {
       return nullptr;
     }
@@ -275,7 +273,7 @@ Dentry* Vfs::LookupChild(Dentry* parent, const char* name) {
       // Lost a race (or the module lied about the inode); the existing
       // child wins. The probe was never published — free it immediately.
       dcache_.FreeNow(probe);
-      lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+      lxfi::SpinGuard guard(parent->child_lock);
       return dcache_.FindChildLocked(parent, name);
     }
     return probe;
@@ -284,7 +282,7 @@ Dentry* Vfs::LookupChild(Dentry* parent, const char* name) {
   // this name is answered lock-free with zero module dispatches. The
   // module's lookup annotation transferred the dentry REF back on the null
   // return, so the kernel owns the probe outright.
-  lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+  lxfi::SpinGuard guard(parent->child_lock);
   if ((Dcache::FlagsOf(parent) & kDentryDying) != 0) {
     dcache_.FreeNow(probe);  // the parent's rmdir is committing: caching
     return nullptr;          // here would leak the probe past RetireTree
@@ -585,7 +583,7 @@ int Vfs::DInstantiate(Dentry* dentry, Inode* inode) {
     ++inode->nlink;
     return 0;
   }
-  lxfi::SpinGuard guard(dcache_.writer_lock(dentry->parent));
+  lxfi::SpinGuard guard(dentry->parent->child_lock);
   if ((Dcache::FlagsOf(dentry->parent) & kDentryDying) != 0) {
     return -kEnoent;  // the parent directory's rmdir is committing: nothing
                       // may be linked into it anymore
@@ -617,7 +615,7 @@ int Vfs::MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out) {
     return rc;
   }
   {
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     if ((Dcache::FlagsOf(parent) & kDentryDying) != 0) {
       return -kEnoent;  // raced an rmdir of the parent after WalkParent
     }
@@ -659,7 +657,7 @@ int Vfs::MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out) {
     // namespace entry behind.
     bool published = false;
     {
-      lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+      lxfi::SpinGuard guard(parent->child_lock);
       if (Dcache::InodeOf(dentry) != nullptr) {
         dcache_.UnlinkChildLocked(parent, dentry);
         published = true;
@@ -854,7 +852,7 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
   }
   Dentry* child;
   {
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     child = dcache_.FindChildLocked(parent, leaf.c_str());
     uint32_t f = child != nullptr ? Dcache::FlagsOf(child) : 0;
     if (child == nullptr || (f & kDentryPositive) == 0 || (f & kDentryDying) != 0) {
@@ -881,9 +879,8 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
       // see pos_children > 0 here) or observes the dying mark under the
       // same lock in DInstantiate/LookupChild and fails. Parent -> child
       // is the tree order (ascending depth), so the nesting cannot
-      // deadlock; in locked mode both locks are the single global one,
-      // already held.
-      lxfi::OptionalSpinGuard child_guard(child->child_lock, !dcache_.locked_mode());
+      // deadlock.
+      lxfi::SpinGuard child_guard(child->child_lock);
       if (child->pos_children > 0) {
         return -kEnotempty;
       }
@@ -913,7 +910,7 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
     return rc;
   }
   {
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     dcache_.UnlinkChildLocked(parent, child);
   }
   // The child (plus, for rmdir, any cached negatives below it) may still be
@@ -980,7 +977,7 @@ int Vfs::Rename(const char* oldpath, const char* newpath) {
   Dentry* nd = dcache_.NewDentry(nparent->sb, nparent, nleaf.c_str());
   Dentry* od = nullptr;
   {
-    DoubleLockGuard guard(dcache_, oparent, nparent);
+    DoubleLockGuard guard(oparent, nparent);
     if (((Dcache::FlagsOf(oparent) | Dcache::FlagsOf(nparent)) & kDentryDying) != 0) {
       dcache_.FreeNow(nd);
       return -kEnoent;
@@ -1037,7 +1034,7 @@ int Vfs::Rename(const char* oldpath, const char* newpath) {
   chain_.RunPost(&ctx, run);
   if (rc != 0) {
     {
-      DoubleLockGuard guard(dcache_, oparent, nparent);
+      DoubleLockGuard guard(oparent, nparent);
       dcache_.UnlinkChildLocked(nparent, nd);
     }
     Dcache::ClearFlag(od, kDentryMoving);
@@ -1046,7 +1043,7 @@ int Vfs::Rename(const char* oldpath, const char* newpath) {
   }
   Inode* inode = Dcache::InodeOf(od);
   {
-    DoubleLockGuard guard(dcache_, oparent, nparent);
+    DoubleLockGuard guard(oparent, nparent);
     // Commit order: the new name turns positive first, then the old name
     // dies — a lock-free walker observes old, both, or new, never a
     // half-moved neither. SetPositive's release store also clears the

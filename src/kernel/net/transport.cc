@@ -8,7 +8,9 @@ namespace {
 std::vector<uint8_t> BuildFrame(const TransportHeader& hdr, const uint8_t* payload) {
   std::vector<uint8_t> frame(sizeof(TransportHeader) + hdr.len);
   std::memcpy(frame.data(), &hdr, sizeof(hdr));
-  if (hdr.len > 0) {
+  // Pure ACKs carry a null payload with len 0; memcpy requires a non-null
+  // source even for zero bytes, so the copy is skipped outright.
+  if (payload != nullptr) {
     std::memcpy(frame.data() + sizeof(hdr), payload, hdr.len);
   }
   return frame;

@@ -41,8 +41,9 @@ class AnnotationRegistry {
   void BindIterators(const IteratorRegistry* iters) { iters_ = iters; }
 
   // Registers (or re-registers identically) annotations for `name`. Returns
-  // an error on parse failure or on a conflicting redefinition, mirroring
-  // the rewriter's "annotations must be exactly the same" rule.
+  // an error on parse failure, on a set the guard compiler rejects, or on a
+  // conflicting redefinition, mirroring the rewriter's "annotations must be
+  // exactly the same" rule.
   lxfi::Status Register(const std::string& name, const std::vector<std::string>& params,
                         const std::string& text);
 

@@ -11,6 +11,11 @@ namespace lxfi {
 AnnotationSet::AnnotationSet() = default;
 AnnotationSet::~AnnotationSet() = default;
 
+const GuardProgram& GuardProgram::Empty() {
+  static const GuardProgram kEmpty;
+  return kEmpty;
+}
+
 // --- compiler ---------------------------------------------------------------
 
 class GuardCompiler {

@@ -19,11 +19,12 @@
 //     crossing is a single tight switch-loop over the section.
 //
 // Expressions compile to a tiny stack machine; the compiler tracks the
-// maximum stack depth so the evaluator needs no bounds checks. Programs the
+// maximum stack depth so the evaluator needs no bounds checks. Sets the
 // compiler cannot prove within limits (depth, op count, arg index width)
-// compile to nullptr and the runtime falls back to the AST interpreter —
-// the two paths are kept semantics-identical by construction (shared per-
-// capability action application) and by the differential property test.
+// compile to nullptr and AnnotationRegistry::Register rejects them: the
+// compiled program is the only engine. A test-only AST interpreter
+// (tests/guard_oracle.h) shares the per-capability action application and
+// is the differential property test's reference.
 #pragma once
 
 #include <cstdint>
@@ -121,6 +122,9 @@ class GuardProgram {
   // Stable, golden-testable listing of the whole program.
   std::string Disassemble() const;
 
+  // The program of an unannotated function: empty sections, shared principal.
+  static const GuardProgram& Empty();
+
  private:
   friend class GuardCompiler;
 
@@ -137,9 +141,14 @@ class GuardProgram {
 };
 
 // Lowers `set` into a GuardProgram. `iters` (optional) pre-resolves iterator
-// slots. Returns nullptr when the set exceeds compiler limits — callers keep
-// the AST and fall back to the interpreter.
+// slots. Returns nullptr when the set exceeds compiler limits.
 std::unique_ptr<GuardProgram> CompileAnnotations(const AnnotationSet& set,
                                                  const IteratorRegistry* iters);
+
+// The program a wrapper binds for `set`: the compiled form of a registered
+// set (Register guarantees one), or Empty() for an unannotated function.
+inline const GuardProgram& ProgramOf(const AnnotationSet* set) {
+  return set != nullptr ? *set->program : GuardProgram::Empty();
+}
 
 }  // namespace lxfi

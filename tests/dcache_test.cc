@@ -62,7 +62,7 @@ TEST_P(DcacheDifferential, RandomOpsMatchNaiveModel) {
         if (positive) {
           kern::Dcache::SetPositive(d, &file_inode);
         }
-        lxfi::SpinGuard guard(dc.writer_lock(parent));
+        lxfi::SpinGuard guard(parent->child_lock);
         ASSERT_EQ(dc.FindChildLocked(parent, name.c_str()), nullptr);
         dc.LinkChildLocked(parent, d);
         model.entries[name] = positive;
@@ -75,7 +75,7 @@ TEST_P(DcacheDifferential, RandomOpsMatchNaiveModel) {
         }
         kern::Dentry* d;
         {
-          lxfi::SpinGuard guard(dc.writer_lock(parent));
+          lxfi::SpinGuard guard(parent->child_lock);
           d = dc.FindChildLocked(parent, name.c_str());
           ASSERT_NE(d, nullptr);
           dc.UnlinkChildLocked(parent, d);
@@ -94,7 +94,7 @@ TEST_P(DcacheDifferential, RandomOpsMatchNaiveModel) {
         kern::Dentry* d = dc.Lookup(parent, name);
         kern::Dentry* dl;
         {
-          lxfi::SpinGuard guard(dc.writer_lock(parent));
+          lxfi::SpinGuard guard(parent->child_lock);
           dl = dc.FindChildLocked(parent, name.c_str());
         }
         EXPECT_EQ(d, dl);
@@ -139,7 +139,7 @@ TEST(DcacheDifferential, CollidingNamesResolveByStrcmpFallback) {
   for (const char* n : names) {
     kern::Dentry* d = dc.NewDentry(nullptr, parent, n);
     kern::Dcache::SetPositive(d, &ino);
-    lxfi::SpinGuard guard(dc.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     dc.LinkChildLocked(parent, d);
   }
   for (const char* n : names) {
@@ -152,7 +152,7 @@ TEST(DcacheDifferential, CollidingNamesResolveByStrcmpFallback) {
   {
     kern::Dentry* d;
     {
-      lxfi::SpinGuard guard(dc.writer_lock(parent));
+      lxfi::SpinGuard guard(parent->child_lock);
       d = dc.FindChildLocked(parent, "beta");
       ASSERT_NE(d, nullptr);
       dc.UnlinkChildLocked(parent, d);
@@ -163,40 +163,6 @@ TEST(DcacheDifferential, CollidingNamesResolveByStrcmpFallback) {
   for (const char* n : {"alpha", "gamma", "delta"}) {
     EXPECT_NE(dc.Lookup(parent, n), nullptr);
   }
-  dc.FreeTreeNow(parent);
-  lxfi::EpochReclaimer::Global().Synchronize();
-}
-
-// Locked (ablation) mode answers exactly like RCU mode.
-TEST(DcacheLockedMode, LookupMatchesRcuMode) {
-  kern::Kernel kernel;
-  kern::Dcache dc(&kernel);
-  kern::Dentry* parent = dc.NewDentry(nullptr, nullptr, "root");
-  kern::Inode ino;
-  ino.mode = kern::kIfReg;
-  for (int i = 0; i < 40; ++i) {
-    std::string name = "f" + std::to_string(i);
-    kern::Dentry* d = dc.NewDentry(nullptr, parent, name.c_str());
-    if (i % 3 != 0) {
-      kern::Dcache::SetPositive(d, &ino);
-    }
-    lxfi::SpinGuard guard(dc.writer_lock(parent));
-    dc.LinkChildLocked(parent, d);
-  }
-  for (int i = 0; i < 40; ++i) {
-    std::string name = "f" + std::to_string(i);
-    dc.set_locked_mode(false);
-    kern::Dentry* rcu = dc.Lookup(parent, name);
-    dc.set_locked_mode(true);
-    kern::Dentry* locked = dc.Lookup(parent, name);
-    EXPECT_EQ(rcu, locked);
-    ASSERT_NE(rcu, nullptr);
-  }
-  dc.set_locked_mode(false);
-  EXPECT_EQ(dc.Lookup(parent, "missing"), nullptr);
-  dc.set_locked_mode(true);
-  EXPECT_EQ(dc.Lookup(parent, "missing"), nullptr);
-  dc.set_locked_mode(false);
   dc.FreeTreeNow(parent);
   lxfi::EpochReclaimer::Global().Synchronize();
 }
@@ -222,13 +188,13 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
     std::string name = "s" + std::to_string(i);
     kern::Dentry* d = dc.NewDentry(nullptr, parent, name.c_str());
     kern::Dcache::SetPositive(d, &stable_inode);
-    lxfi::SpinGuard guard(dc.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     dc.LinkChildLocked(parent, d);
   }
   for (int i = 0; i < kNegative; ++i) {
     std::string name = "neg" + std::to_string(i);
     kern::Dentry* d = dc.NewDentry(nullptr, parent, name.c_str());
-    lxfi::SpinGuard guard(dc.writer_lock(parent));
+    lxfi::SpinGuard guard(parent->child_lock);
     dc.LinkChildLocked(parent, d);
   }
 
@@ -247,7 +213,7 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
           kern::Dentry* d = dc.NewDentry(nullptr, parent, name);
           kern::Dcache::SetPositive(d, &churn_inodes[w]);
           {
-            lxfi::SpinGuard guard(dc.writer_lock(parent));
+            lxfi::SpinGuard guard(parent->child_lock);
             if (dc.FindChildLocked(parent, name) == nullptr) {
               dc.LinkChildLocked(parent, d);
               d = nullptr;
@@ -260,7 +226,7 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
             std::snprintf(name, sizeof(name), "w%d_%d", w, (iter - 1) % 97);
             kern::Dentry* victim;
             {
-              lxfi::SpinGuard guard(dc.writer_lock(parent));
+              lxfi::SpinGuard guard(parent->child_lock);
               victim = dc.FindChildLocked(parent, name);
               if (victim != nullptr) {
                 dc.UnlinkChildLocked(parent, victim);
@@ -322,11 +288,11 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
       uint64_t iter = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         {
-          lxfi::SpinGuard guard(dc.writer_lock(parent));
+          lxfi::SpinGuard guard(parent->child_lock);
           dc.LinkChildLocked(parent, hot);
         }
         {
-          lxfi::SpinGuard guard(dc.writer_lock(parent));
+          lxfi::SpinGuard guard(parent->child_lock);
           dc.UnlinkChildLocked(parent, hot);
         }
         if ((++iter & 1023) == 0) {
@@ -355,7 +321,7 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
     EXPECT_GT(dc.seqlock_retries(), 0u);
     bool linked;
     {
-      lxfi::SpinGuard guard(dc.writer_lock(parent));
+      lxfi::SpinGuard guard(parent->child_lock);
       linked = dc.FindChildLocked(parent, "hotname") == hot;
     }
     if (!linked) {

@@ -19,12 +19,17 @@ TEST_P(NetperfWorkload, DeliversAllPacketsStock) {
   eval::NetperfMeasurement m = harness.Run({GetParam(), 2000});
   EXPECT_EQ(m.packets, 2000u);
   EXPECT_GT(m.path_wall_ns, 0u);
+  // A second run on the same harness counts only its own packets.
+  m = harness.Run({GetParam(), 1000});
+  EXPECT_EQ(m.packets, 1000u);
 }
 
 TEST_P(NetperfWorkload, DeliversAllPacketsIsolated) {
   eval::NetperfHarness harness(/*isolated=*/true);
   eval::NetperfMeasurement m = harness.Run({GetParam(), 2000});
   EXPECT_EQ(m.packets, 2000u);
+  m = harness.Run({GetParam(), 1000});
+  EXPECT_EQ(m.packets, 1000u);
   EXPECT_EQ(harness.runtime()->violation_count(), 0u)
       << "benign netperf traffic must not violate any contract";
 }

@@ -1,8 +1,9 @@
 // The annotation compile pass (guard_program.h): golden disassemblies of the
 // compiler's output, the EnforcementContext pre-check memo protocol, and a
 // differential property test that drives randomly generated annotation sets
-// through both the AST interpreter and the compiled GuardProgram and demands
-// identical capability effects, violation records, and principal selection.
+// through both the compiled GuardProgram and the AST-interpreter oracle
+// (guard_oracle.h) and demands identical capability effects, violation
+// records, and principal selection.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "src/lxfi/kernel_api.h"
 #include "src/lxfi/runtime.h"
 #include "src/lxfi/wrap.h"
+#include "tests/guard_oracle.h"
 
 namespace {
 
@@ -123,8 +125,8 @@ TEST(GuardCompiler, MemoizabilityRules) {
                   ->pre_memoizable());
 }
 
-// Every annotation the kernel API registers must lower to a program (the
-// interpreter fallback is for pathological inputs, not the shipped surface).
+// Every annotation the kernel API registers lowers to a program (Register
+// refuses sets the compiler rejects, and the API panics on a refusal).
 TEST(GuardCompiler, EntireKernelApiSurfaceCompiles) {
   kern::Kernel kernel;
   lxfi::Runtime rt(&kernel);
@@ -146,14 +148,13 @@ TEST(GuardCompiler, EntireKernelApiSurfaceCompiles) {
 // --- test rig ---------------------------------------------------------------
 
 // A kernel+runtime pair in counting-violation mode, with a module loaded and
-// a deterministic capability iterator registered. Two rigs — one compiled,
-// one interpreting — receive identical stimuli in the differential tests.
+// a deterministic capability iterator registered. Two rigs — one driven by
+// the compiled programs, one by the oracle — receive identical stimuli in
+// the differential tests.
 struct Rig {
-  explicit Rig(bool compiled, bool memo = true) {
+  Rig() {
     lxfi::RuntimeOptions opt;
     opt.policy = lxfi::ViolationPolicy::kCount;
-    opt.compiled_guards = compiled;
-    opt.enforcement_memo = memo;
     kernel = std::make_unique<kern::Kernel>();
     rt = std::make_unique<lxfi::Runtime>(kernel.get(), opt);
     lxfi::InstallKernelApi(kernel.get(), rt.get());
@@ -188,12 +189,17 @@ struct Rig {
 // WRITE for user space) and away from the host stack.
 constexpr uintptr_t kObjBase = 0x510000000000ull;
 
+// Which evaluator a shot runs through.
+enum class Engine { kCompiled, kOracle };
+
 // One wrapper-crossing-shaped stimulus against one rig; returns a transcript
 // of everything observable so the two rigs can be diffed.
 std::string RunShot(Rig& rig, const std::string& name, const uint64_t* args, size_t nargs,
-                    uint64_t ret, bool kernel_to_module) {
+                    uint64_t ret, bool kernel_to_module, Engine engine = Engine::kCompiled) {
   const lxfi::AnnotationSet* set = rig.rt->annotations().Find(name);
   EXPECT_NE(set, nullptr);
+  const lxfi::GuardProgram& prog = *set->program;
+  guard_oracle::Interpreter oracle(rig.rt.get());
   lxfi::CallEnv env;
   env.mc = rig.mc;
   env.kernel_to_module = kernel_to_module;
@@ -201,12 +207,21 @@ std::string RunShot(Rig& rig, const std::string& name, const uint64_t* args, siz
   env.nargs = nargs;
   env.ret = ret;
   env.what = name.c_str();
-  lxfi::Principal* p =
-      kernel_to_module ? rig.rt->SelectCalleePrincipal(set, rig.mc, env) : rig.shared();
+  const bool compiled = engine == Engine::kCompiled;
+  lxfi::Principal* p = rig.shared();
+  if (kernel_to_module) {
+    p = compiled ? rig.rt->SelectCalleePrincipal(prog, rig.mc, env)
+                 : oracle.SelectCalleePrincipal(*set, rig.mc, env);
+  }
   env.principal = p;
   size_t violations_before = rig.rt->violation_count();
-  rig.rt->RunActions(set, env, /*post=*/false);
-  rig.rt->RunActions(set, env, /*post=*/true);
+  for (bool post : {false, true}) {
+    if (compiled) {
+      rig.rt->RunGuards(prog, env, post);
+    } else {
+      oracle.RunActions(*set, env, post);
+    }
+  }
   std::string out = "principal=" + p->DebugName() + "\n";
   const auto& violations = rig.rt->violations();
   for (size_t i = violations_before; i < violations.size(); ++i) {
@@ -292,7 +307,7 @@ class AnnotationGen {
     switch (rng_->Below(4)) {
       case 0: {
         // Sizes stay literal: an expression-valued size could go negative and
-        // turn into a near-2^64 grant, which both engines would dutifully
+        // turn into a near-2^64 grant, which both evaluators would dutifully
         // walk page by page.
         std::string caps = "write, " + GenExpr(0, post);
         if (rng_->Chance(0.6)) {
@@ -317,8 +332,8 @@ class AnnotationGen {
 TEST(GuardDifferential, RandomAnnotationSetsMatchInterpreter) {
   lxfi::Rng rng(2011);
   AnnotationGen gen(&rng);
-  Rig compiled(/*compiled=*/true);
-  Rig interp(/*compiled=*/false);
+  Rig compiled;
+  Rig interp;
 
   // Seed both rigs with identical capabilities so checks can succeed.
   for (int i = 0; i < 8; ++i) {
@@ -350,7 +365,7 @@ TEST(GuardDifferential, RandomAnnotationSetsMatchInterpreter) {
       uint64_t ret = rng.Chance(0.5) ? args[0] : rng.Below(32);
       bool kernel_to_module = rng.Chance(0.5);
       std::string got = RunShot(compiled, name, args, 3, ret, kernel_to_module);
-      std::string want = RunShot(interp, name, args, 3, ret, kernel_to_module);
+      std::string want = RunShot(interp, name, args, 3, ret, kernel_to_module, Engine::kOracle);
       ASSERT_EQ(got, want) << "divergence on '" << text << "' shot " << shot << "\n"
                            << cset->program->Disassemble();
     }
@@ -358,12 +373,13 @@ TEST(GuardDifferential, RandomAnnotationSetsMatchInterpreter) {
 }
 
 // The memo must never change observable behavior: replay every shot twice on
-// the compiled rig (priming the memo) and once on the interpreter.
+// the compiled rig (priming the memo) and on the oracle, which never
+// memoizes.
 TEST(GuardDifferential, MemoizedReplayMatchesInterpreter) {
   lxfi::Rng rng(411);
   AnnotationGen gen(&rng);
-  Rig compiled(/*compiled=*/true, /*memo=*/true);
-  Rig interp(/*compiled=*/false, /*memo=*/false);
+  Rig compiled;
+  Rig interp;
   std::vector<std::string> params = {"a", "b", "c"};
   for (int iter = 0; iter < 100; ++iter) {
     std::string text = "pre(" + (rng.Chance(0.5) ? std::string("check(write, a, 64)")
@@ -377,7 +393,7 @@ TEST(GuardDifferential, MemoizedReplayMatchesInterpreter) {
     // and violations must still match an interpreter that never memoizes.
     for (int rep = 0; rep < 2; ++rep) {
       std::string got = RunShot(compiled, name, args, 3, 0, false);
-      std::string want = RunShot(interp, name, args, 3, 0, false);
+      std::string want = RunShot(interp, name, args, 3, 0, false, Engine::kOracle);
       ASSERT_EQ(got, want) << "memo divergence on '" << text << "' rep " << rep;
     }
   }
@@ -386,7 +402,7 @@ TEST(GuardDifferential, MemoizedReplayMatchesInterpreter) {
 // --- memo protocol ----------------------------------------------------------
 
 TEST(GuardMemo, PureCheckPreSectionMemoizes) {
-  Rig rig(/*compiled=*/true);
+  Rig rig;
   constexpr uintptr_t kLock = kObjBase;
   rig.rt->Grant(rig.shared(), Capability::Write(kLock, 64));
   ASSERT_TRUE(
@@ -423,7 +439,7 @@ TEST(GuardMemo, PureCheckPreSectionMemoizes) {
 // module side is granting), so its "clean" pass must never seed the memo a
 // module->kernel crossing of the same program could hit.
 TEST(GuardMemo, KernelToModulePassDoesNotSeedModuleToKernelSkip) {
-  Rig rig(/*compiled=*/true);
+  Rig rig;
   ASSERT_TRUE(
       rig.rt->annotations().Register("dir_fn", {"p"}, "pre(check(write, p, 8))").ok());
   uint64_t args[1] = {kObjBase + 0x7000};  // range the principal does NOT own
@@ -439,22 +455,10 @@ TEST(GuardMemo, KernelToModulePassDoesNotSeedModuleToKernelSkip) {
       << "memo seeded by a no-op kernel->module pass suppressed a real check";
 }
 
-TEST(GuardMemo, DisabledByOption) {
-  Rig rig(/*compiled=*/true, /*memo=*/false);
-  constexpr uintptr_t kLock = kObjBase;
-  rig.rt->Grant(rig.shared(), Capability::Write(kLock, 64));
-  ASSERT_TRUE(
-      rig.rt->annotations().Register("memo_lock", {"lock"}, "pre(check(write, lock, 8))").ok());
-  uint64_t args[1] = {kLock};
-  RunShot(rig, "memo_lock", args, 1, 0, false);
-  RunShot(rig, "memo_lock", args, 1, 0, false);
-  EXPECT_EQ(rig.shared()->ctx().pre_memo_hits, 0u);
-}
-
 // --- iterator resolution ----------------------------------------------------
 
 TEST(GuardProgram, LateIteratorRegistrationResolvesLazily) {
-  Rig rig(/*compiled=*/true);
+  Rig rig;
   // Annotation registered (and compiled) before its iterator exists.
   ASSERT_TRUE(rig.rt->annotations().Register("late_fn", {"a"}, "pre(check(late_caps(a)))").ok());
   const lxfi::AnnotationSet* set = rig.rt->annotations().Find("late_fn");
@@ -476,42 +480,68 @@ TEST(GuardProgram, LateIteratorRegistrationResolvesLazily) {
   EXPECT_EQ(rig.rt->violation_count(), before);
 }
 
-// An import wrapper bound before a Runtime option flip keeps its bound
-// engine; a crossing through the wrapper behaves identically either way.
-TEST(GuardProgram, WrapperCrossingsMatchAcrossEngines) {
-  for (bool compiled : {false, true}) {
-    lxfi::RuntimeOptions opt;
-    opt.compiled_guards = compiled;
-    auto kernel = std::make_unique<kern::Kernel>();
-    auto rt = std::make_unique<lxfi::Runtime>(kernel.get(), opt);
-    lxfi::InstallKernelApi(kernel.get(), rt.get());
+// A set beyond the compiler's limits — here an expression one level deeper
+// than the evaluator stack holds — is refused at registration: there is no
+// other engine that could run it.
+TEST(GuardProgram, RegisterRejectsSetBeyondCompilerLimits) {
+  // n nested additions keep n + 1 values on the evaluator stack.
+  auto nested = [](size_t n) {
+    std::string expr = "a";
+    for (size_t i = 0; i < n; ++i) {
+      expr = "(a + " + expr + ")";
+    }
+    return "pre(check(write, " + expr + ", 8))";
+  };
+  const std::string too_deep = nested(GuardProgram::kMaxStack);
+  std::string error;
+  auto parsed = ParseAnnotations("deep_fn", {"a"}, too_deep, &error);
+  ASSERT_NE(parsed, nullptr) << "the parser accepts it: " << error;
+  EXPECT_EQ(CompileAnnotations(*parsed, nullptr), nullptr);
 
-    kern::Module* module = nullptr;
-    std::function<void*(size_t)> kmalloc;
-    std::function<void(void*)> kfree;
-    std::function<void(uintptr_t*)> spin_lock;
-    kern::ModuleDef def;
-    def.name = "xmod";
-    def.imports = {"kmalloc", "kfree", "spin_lock"};
-    def.init = [&](kern::Module& m) -> int {
-      module = &m;
-      kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-      kfree = lxfi::GetImport<void, void*>(m, "kfree");
-      spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
-      return 0;
-    };
-    ASSERT_NE(kernel->LoadModule(std::move(def)), nullptr);
+  Rig rig;
+  lxfi::Status st = rig.rt->annotations().Register("deep_fn", {"a"}, too_deep);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("exceed the guard compiler's limits"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(rig.rt->annotations().Find("deep_fn"), nullptr);
+  // At exactly the stack bound the set compiles and registers.
+  EXPECT_TRUE(rig.rt->annotations()
+                  .Register("max_fn", {"a"}, nested(GuardProgram::kMaxStack - 1))
+                  .ok());
+}
 
-    lxfi::Principal* shared = rt->CtxOf(module)->shared();
-    lxfi::ScopedPrincipal as_module(rt.get(), shared);
-    void* p = kmalloc(128);
-    ASSERT_NE(p, nullptr);
-    EXPECT_TRUE(rt->Owns(shared, Capability::Write(p, 128))) << "compiled=" << compiled;
-    spin_lock(static_cast<uintptr_t*>(p));
-    kfree(p);
-    EXPECT_FALSE(rt->Owns(shared, Capability::Write(p, 128))) << "compiled=" << compiled;
-    EXPECT_EQ(rt->violation_count(), 0u) << "compiled=" << compiled;
-  }
+// An import wrapper binds its compiled program at wrap time; crossings
+// through it apply the program's transfer and check actions.
+TEST(GuardProgram, WrapperCrossingsRunBoundProgram) {
+  auto kernel = std::make_unique<kern::Kernel>();
+  auto rt = std::make_unique<lxfi::Runtime>(kernel.get());
+  lxfi::InstallKernelApi(kernel.get(), rt.get());
+
+  kern::Module* module = nullptr;
+  std::function<void*(size_t)> kmalloc;
+  std::function<void(void*)> kfree;
+  std::function<void(uintptr_t*)> spin_lock;
+  kern::ModuleDef def;
+  def.name = "xmod";
+  def.imports = {"kmalloc", "kfree", "spin_lock"};
+  def.init = [&](kern::Module& m) -> int {
+    module = &m;
+    kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
+    kfree = lxfi::GetImport<void, void*>(m, "kfree");
+    spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
+    return 0;
+  };
+  ASSERT_NE(kernel->LoadModule(std::move(def)), nullptr);
+
+  lxfi::Principal* shared = rt->CtxOf(module)->shared();
+  lxfi::ScopedPrincipal as_module(rt.get(), shared);
+  void* p = kmalloc(128);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(rt->Owns(shared, Capability::Write(p, 128)));
+  spin_lock(static_cast<uintptr_t*>(p));
+  kfree(p);
+  EXPECT_FALSE(rt->Owns(shared, Capability::Write(p, 128)));
+  EXPECT_EQ(rt->violation_count(), 0u);
 }
 
 }  // namespace
