@@ -5,7 +5,8 @@
 //
 // Part 2 — compiled guard cost: ns per wrapper crossing pair and per
 // guard-program evaluation of the GuardProgram the registration-time
-// compile pass produced (pre-check memo included). With --json PATH the
+// compile pass produced (every crossing runs its sections; nothing caches a
+// pass). With --json PATH the
 // rows are also written in the shared bench schema (the CI bench-smoke job
 // uploads that file as an artifact).
 #include <cstdio>

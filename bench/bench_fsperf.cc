@@ -61,10 +61,10 @@ int RunOverhead(const eval::FsperfConfig& config, lxfibench::JsonWriter* json,
   // Enforced with partitioned heaps: the ramfs modules' kmallocs (file data
   // buffers, filter state) land in their own arena slots, so the write
   // guards on the copy loops resolve with the span compare instead of the
-  // memo/cap-table probe.
+  // cap-table probe.
   eval::FsperfHarness arena(/*isolated=*/true);
   arena.runtime()->EnablePartitionedHeaps();
-  // Warm all paths (slab magazines, dcache spine, memo shards), then
+  // Warm all paths (slab magazines, dcache spine, counter shards), then
   // measure.
   eval::FsperfConfig warm = config;
   warm.files = config.files / 10 + 1;

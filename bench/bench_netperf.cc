@@ -95,7 +95,7 @@ void RunFigure12(lxfibench::JsonWriter* json, const char* stats_path) {
 
   // Enforced arena delta: partitioned heaps on vs off on the streaming
   // paths, on a FRESH harness pair with identical warmup (reusing the
-  // figure-12 harness would hand the plain config hot memos and magazines
+  // figure-12 harness would hand the plain config hot tables and magazines
   // the arena config never got). skbs stay on the shared heap by design
   // (the kernel frees them, possibly after module unload, so they must
   // outlive arena teardown); the arena covers the e1000's own state — ring
@@ -147,7 +147,7 @@ void RunScaling(int max_cpus, uint64_t packets_per_cpu, const std::string& json_
     row.cpus = n;
     {
       eval::NetperfHarness h(/*isolated=*/true, /*guard_timing=*/false, /*cpus=*/n);
-      h.RunParallelTx(packets_per_cpu / 10 + 1);  // warm memos, magazines, writer sets
+      h.RunParallelTx(packets_per_cpu / 10 + 1);  // warm tables, magazines, writer sets
       row.lxfi = h.RunParallelTx(packets_per_cpu);
       if (n == max_cpus && stats_path != nullptr) {
         DumpStatsFile(*h.runtime(), stats_path, "lxfi_stats_netperf_scaling");

@@ -4,9 +4,9 @@
 // Plus the store-guard ablation: the per-check cost of the WRITE-capability
 // probe on a netperf-style working set (skb headers, payload buffers, device
 // state), comparing the node-based std::unordered_map layout the seed
-// shipped, the flat open-addressing CapTable, and the flat table fronted by
-// the EnforcementContext 1-entry memo — the exact configuration the runtime
-// store guard runs (src/lxfi/runtime.cc CheckWriteBody).
+// shipped, the flat open-addressing CapTable the runtime store guard probes
+// (src/lxfi/runtime.cc CheckWriteBody), and its seqlock-validated SMP read
+// path.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/json_out.h"
+#include "bench/paired_timing.h"
 #include "bench/std_baseline.h"
 #include "src/base/clock.h"
 #include "src/base/log.h"
@@ -23,7 +24,6 @@
 #include "src/eval/sfi_micro.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/module.h"
-#include "src/lxfi/enforcement_context.h"
 #include "src/lxfi/runtime.h"
 
 namespace {
@@ -58,8 +58,8 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   }
 
   // The shared principal holds the skb grants; the instance principal holds
-  // its own (private device state) ranges, so every non-memoized skb check
-  // walks the instance → shared fallback chain with a real miss probe first,
+  // its own (private device state) ranges, so every skb check walks the
+  // instance → shared fallback chain with a real miss probe first,
   // exactly like ModuleCtx::OwnsWrite on the real store-guard path.
   lxfi::CapTable flat_instance;
   bench::StdCapTable node_instance;
@@ -72,7 +72,7 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
 
   // Per-packet guard stream (Figure 13 counts the guards per packet): two
   // header field stores, then the payload copy loop checking 256-byte
-  // chunks — the same-object re-check pattern the 1-entry memo targets.
+  // chunks.
   struct Query {
     uintptr_t addr;
     size_t size;
@@ -115,35 +115,6 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
     return flat_instance.CheckWriteConcurrent(q.addr, q.size) ||
            flat.CheckWriteConcurrent(q.addr, q.size);
   };
-  lxfi::EnforcementContext ec;
-  auto memo_check = [&](const Query& q) {
-    if (ec.WriteMemoHit(q.addr, q.size)) {
-      return true;
-    }
-    uint64_t epoch = lxfi::RevocationEpoch::Current();
-    uintptr_t lo, hi;
-    if (!flat_instance.FindWriteRange(q.addr, q.size, &lo, &hi) &&
-        !flat.FindWriteRange(q.addr, q.size, &lo, &hi)) {
-      return false;
-    }
-    ec.FillWriteMemo(lo, hi, epoch);
-    return true;
-  };
-  lxfi::EnforcementContext ec_seq;
-  auto memo_seq_check = [&](const Query& q) {
-    if (ec_seq.WriteMemoHit(q.addr, q.size)) {
-      return true;
-    }
-    uint64_t epoch = lxfi::RevocationEpoch::Current();
-    uintptr_t lo, hi;
-    if (!flat_instance.FindWriteRangeConcurrent(q.addr, q.size, &lo, &hi) &&
-        !flat.FindWriteRangeConcurrent(q.addr, q.size, &lo, &hi)) {
-      return false;
-    }
-    ec_seq.FillWriteMemo(lo, hi, epoch);
-    return true;
-  };
-
   // Warm, then measure.
   time_ns(std_check);
   double t_std = time_ns(std_check);
@@ -151,19 +122,12 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   double t_flat = time_ns(flat_check);
   time_ns(seq_check);
   double t_seq = time_ns(seq_check);
-  time_ns(memo_check);
-  double t_memo = time_ns(memo_check);
-  time_ns(memo_seq_check);
-  double t_memo_seq = time_ns(memo_seq_check);
 
   std::printf("=== Store-guard ablation (netperf-style WRITE checks) ===\n");
   std::printf("%-34s %12s %10s\n", "configuration", "ns/check", "speedup");
   std::printf("%-34s %12.2f %9.2fx\n", "std::unordered_map buckets", t_std, 1.0);
   std::printf("%-34s %12.2f %9.2fx\n", "flat table (open-addressing)", t_flat, t_std / t_flat);
   std::printf("%-34s %12.2f %9.2fx\n", "flat, seqlock read path (SMP)", t_seq, t_std / t_seq);
-  std::printf("%-34s %12.2f %9.2fx\n", "flat + EnforcementContext memo", t_memo, t_std / t_memo);
-  std::printf("%-34s %12.2f %9.2fx\n", "seqlock + EnforcementContext memo", t_memo_seq,
-              t_std / t_memo_seq);
   std::printf("(sink %llu)\n\n", static_cast<unsigned long long>(sink % 7));
 
   if (json != nullptr) {
@@ -174,8 +138,6 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
         {"std_unordered_map", t_std},
         {"flat_table", t_flat},
         {"flat_seqlock", t_seq},
-        {"flat_memo", t_memo},
-        {"seqlock_memo", t_memo_seq},
     };
     for (const auto& r : rows) {
       json->AddRow(r.name).Set("ns_per_check", r.ns).Set("speedup_vs_std", t_std / r.ns);
@@ -183,19 +145,17 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   }
 }
 
-// Arena-vs-captable ablation: the same own-heap store stream resolved three
-// ways — the partitioned-heap arena span compare (this PR's fast path), the
-// PR 1/2 memo-fronted flat table, and the cold FlatRangeMap probe. Module
-// stores into their own kmalloc'd objects are the common case the arena
-// targets, and a real module touches *many* objects: a round-robin stream
-// over 32 own-heap objects defeats the 1-entry memo every time (each object
-// memoizes a different grant range), while the arena answers every one with
-// the same two-word span compare. The single-object repeat stream is also
-// reported so the pure memo-hit steady state is on the record. Both paths go
-// through the real Runtime entry points, and the cap-table slow path is the
-// differential reference: fast and slow must return identical allow/deny
-// answers on every probe, including deny cases (span straddle, foreign
-// address, unmapped) — asserted, not assumed.
+// Arena-vs-captable ablation: the same own-heap store stream resolved two
+// ways — the partitioned-heap arena span compare and the flat-table probe
+// the store guard falls back to without a partition. Module stores into
+// their own kmalloc'd objects are the common case the arena targets, and a
+// real module touches *many* objects: the stream goes round-robin over 32
+// own-heap objects, each a separate grant in the table, while the arena
+// answers every one with the same two-word span compare. Both paths go
+// through the real Runtime entry point (OwnsWriteFast), and the cap-table
+// slow path is the differential reference: fast and slow must return
+// identical allow/deny answers on every probe, including deny cases (span
+// straddle, foreign address, unmapped) — asserted, not assumed.
 void RunArenaAblation(lxfibench::JsonWriter* json) {
   constexpr int kObjects = 32;  // power of two: stream index is a mask
   constexpr size_t kObjBytes = 192;
@@ -240,8 +200,7 @@ void RunArenaAblation(lxfibench::JsonWriter* json) {
     flat_rt.Grant(fp, lxfi::Capability::Write(addr, kObjBytes));
   }
 
-  // Differential reference first (before any timing warms a memo): the
-  // arena fast path and the cap-table slow path must agree on every probe.
+  // Differential reference first: the arena fast path and the cap-table slow path must agree on every probe.
   struct Probe {
     uintptr_t addr;
     size_t size;
@@ -286,94 +245,80 @@ void RunArenaAblation(lxfibench::JsonWriter* json) {
   auto arena_check = [&](uint64_t i) {
     return arena_rt.OwnsWriteFast(ap, arena_objs[i & (kObjects - 1)] + 16, 8);
   };
-  auto memo_alternating = [&](uint64_t i) {
+  auto table_probe = [&](uint64_t i) {
     return flat_rt.OwnsWriteFast(fp, flat_objs[i & (kObjects - 1)] + 16, 8);
-  };
-  auto memo_same_object = [&](uint64_t i) {
-    return flat_rt.OwnsWriteFast(fp, flat_objs[(i >> 12) & (kObjects - 1)] + 16, 8);
-  };
-  auto cold_probe = [&](uint64_t i) {
-    return flat_rt.Owns(fp, lxfi::Capability::Write(flat_objs[i & (kObjects - 1)] + 16, 8));
   };
 
   double t_arena = best(arena_check);
-  double t_ping = best(memo_alternating);
-  double t_hit = best(memo_same_object);
-  double t_cold = best(cold_probe);
+  double t_probe = best(table_probe);
   for (uint64_t i = 0; i < 64; ++i) {  // the streams really do allow
-    Require(arena_check(i) && memo_alternating(i) && memo_same_object(i) && cold_probe(i),
+    Require(arena_check(i) && table_probe(i),
             "own-heap store stream must be allowed in every configuration");
   }
 
   std::printf("=== Arena-vs-captable ablation (own-heap stores, %d objects) ===\n", kObjects);
   std::printf("%-40s %12s %10s\n", "configuration", "ns/check", "speedup");
-  std::printf("%-40s %12.2f %9.2fx\n", "arena span compare (this PR)", t_arena, t_ping / t_arena);
-  std::printf("%-40s %12.2f %9.2fx\n", "memo + flat table, alternating objects", t_ping, 1.0);
-  std::printf("%-40s %12.2f %9.2fx\n", "memo + flat table, same-object (memo hit)", t_hit,
-              t_ping / t_hit);
-  std::printf("%-40s %12.2f %9.2fx\n", "cold flat probe (no memo)", t_cold, t_ping / t_cold);
-  std::printf("(speedups relative to the alternating-object memo path; sink %llu)\n",
+  std::printf("%-40s %12.2f %9.2fx\n", "arena span compare", t_arena, t_probe / t_arena);
+  std::printf("%-40s %12.2f %9.2fx\n", "flat-table probe, per-object grants", t_probe, 1.0);
+  std::printf("(speedups relative to the flat-table probe; sink %llu)\n",
               static_cast<unsigned long long>(sink % 7));
-  std::printf("\narena fast path is %.2fx vs the memo + flat-table path on the same own-heap\n"
-              "stream (target: >= 1.5x), %.2fx vs the pure memo-hit steady state\n\n",
-              t_ping / t_arena, t_hit / t_arena);
-  Require(t_ping / t_arena >= 1.5,
-          "arena fast path must be >= 1.5x vs the memoized cap-table path on own-heap stores");
+  std::printf("\narena fast path is %.2fx vs the flat-table probe on the same own-heap\n"
+              "stream (target: >= 1.5x)\n\n",
+              t_probe / t_arena);
+  Require(t_probe / t_arena >= 1.5,
+          "arena fast path must be >= 1.5x vs the cap-table probe on own-heap stores");
 
   if (json != nullptr) {
     json->Meta("arena_objects", static_cast<double>(kObjects));
     json->AddRow("arena_span_compare")
         .Set("ns_per_check", t_arena)
-        .Set("speedup_vs_memo_alternating", t_ping / t_arena)
-        .Set("speedup_vs_memo_hit", t_hit / t_arena);
-    json->AddRow("memo_flat_alternating").Set("ns_per_check", t_ping);
-    json->AddRow("memo_flat_same_object").Set("ns_per_check", t_hit);
-    json->AddRow("cold_flat_probe").Set("ns_per_check", t_cold);
+        .Set("speedup_vs_table_probe", t_probe / t_arena);
+    json->AddRow("flat_table_probe").Set("ns_per_check", t_probe);
   }
 }
 
 // Trace-overhead gate: the observability contract is that a compiled-in but
 // *disabled* tracepoint costs one relaxed load and a predictable branch — so
-// a crossing-representative loop body (several real memoized WRITE checks,
-// like a wrapper crossing's guard traffic) with two disabled TRACE_EVENTs
-// must stay within 3% of the same body without them. Asserted here, not just
+// a crossing-representative loop body (several real store guards,
+// Runtime::CheckWrite against per-object grants, like a wrapper crossing's
+// guard traffic) with two disabled
+// TRACE_EVENTs must stay within 3% of the same body without them. Plain and
+// gated repetitions alternate and the gate decides on the median of the
+// per-pair ratios (bench/paired_timing.h), so host drift between
+// repetitions does not read as tracepoint cost. Asserted here, not just
 // reported, so CI fails the moment someone fattens the disabled path. The
 // enabled row is reported alongside for the record.
 void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   constexpr int kObjects = 16;
   constexpr size_t kObjBytes = 256;
-  constexpr uint64_t kChecks = 1u << 21;
+  constexpr uint64_t kChecks = 1u << 16;
+  constexpr int kPairs = 61;
 
-  lxfi::CapTable table;
+  kern::Kernel kernel;
+  lxfi::Runtime rt(&kernel, lxfi::RuntimeOptions{});
+  kern::ModuleDef def;
+  def.name = "tracemod";
+  kern::Module* mod = kernel.LoadModule(std::move(def));
+  Require(mod != nullptr, "trace-gate kernel failed to load tracemod");
+  lxfi::Principal* p = rt.CtxOf(mod)->shared();
+  // One object per 4 KiB bucket; the guard only checks, never stores.
   constexpr uintptr_t kBase = 0x7f4500000000ull;
-  uintptr_t objs[kObjects];
+  char* objs[kObjects];
   for (int i = 0; i < kObjects; ++i) {
-    objs[i] = kBase + static_cast<uintptr_t>(i) * 4096;
-    table.GrantWrite(objs[i], kObjBytes);
+    uintptr_t addr = kBase + static_cast<uintptr_t>(i) * 4096;
+    objs[i] = reinterpret_cast<char*>(addr);
+    rt.Grant(p, lxfi::Capability::Write(addr, kObjBytes));
   }
-  lxfi::EnforcementContext ec;
-  auto check = [&](uintptr_t addr, size_t size) {
-    if (ec.WriteMemoHit(addr, size)) {
-      return true;
-    }
-    uint64_t epoch = lxfi::RevocationEpoch::Current();
-    uintptr_t lo, hi;
-    if (!table.FindWriteRange(addr, size, &lo, &hi)) {
-      return false;
-    }
-    ec.FillWriteMemo(lo, hi, epoch);
-    return true;
-  };
+  lxfi::ScopedPrincipal as_module(&rt, p);
 
-  uint64_t sink = 0;
   // One "crossing": a couple of header-field stores plus two payload-chunk
   // stores on the same object — the guard stream a wrapper body generates.
   auto body = [&](uint64_t i) {
-    uintptr_t o = objs[i & (kObjects - 1)];
-    sink += check(o + 8, 8);
-    sink += check(o + 32, 8);
-    sink += check(o + 64, 64);
-    sink += check(o + 128, 64);
+    char* o = objs[i & (kObjects - 1)];
+    rt.CheckWrite(o + 8, 8);
+    rt.CheckWrite(o + 32, 8);
+    rt.CheckWrite(o + 64, 64);
+    rt.CheckWrite(o + 128, 64);
   };
   auto plain_op = [&](uint64_t i) { body(i); };
   auto gated_op = [&](uint64_t i) {
@@ -389,19 +334,11 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
     }
     return static_cast<double>(lxfi::MonotonicNowNs() - t0) / kChecks;
   };
-  auto best = [&](auto&& op) {
-    time_ns(op);  // warm
-    double t = time_ns(op);
-    for (int rep = 0; rep < 7; ++rep) {
-      t = std::min(t, time_ns(op));
-    }
-    return t;
-  };
 
   lxfi::TraceBuffer::SetEnabled(false);
   lxfi::TraceBuffer::Global().ResetForTest();
-  double t_plain = best(plain_op);
-  double t_gated = best(gated_op);
+  lxfibench::PairedResult gate = lxfibench::PairedRatio(
+      kPairs, [&] { return time_ns(plain_op); }, [&] { return time_ns(gated_op); });
 
   // Enabled row: same body with live emission, drained by the emitting
   // thread every ring's worth (the flight-recorder steady state).
@@ -414,25 +351,26 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
       lxfi::TraceBuffer::Global().Drain(&scratch);
     }
   };
-  double t_enabled = best(enabled_op);
+  time_ns(enabled_op);  // warm
+  double t_enabled = time_ns(enabled_op);
   lxfi::TraceBuffer::SetEnabled(false);
   lxfi::TraceBuffer::Global().ResetForTest();
 
-  double overhead_pct = (t_gated / t_plain - 1.0) * 100.0;
+  double overhead_pct = (gate.ratio - 1.0) * 100.0;
   std::printf("=== Trace-overhead gate (crossing-representative body) ===\n");
   std::printf("%-40s %12s\n", "configuration", "ns/crossing");
-  std::printf("%-40s %12.2f\n", "no tracepoints", t_plain);
-  std::printf("%-40s %12.2f  (%+.2f%%)\n", "2 tracepoints, disabled", t_gated, overhead_pct);
+  std::printf("%-40s %12.2f\n", "no tracepoints", gate.a_ns);
+  std::printf("%-40s %12.2f  (%+.2f%%, median of %d paired ratios)\n",
+              "2 tracepoints, disabled", gate.b_ns, overhead_pct, kPairs);
   std::printf("%-40s %12.2f\n", "2 tracepoints, enabled + drain", t_enabled);
-  std::printf("(sink %llu; gate: disabled <= 3%%)\n\n",
-              static_cast<unsigned long long>(sink % 7));
-  Require(t_gated <= 1.03 * t_plain,
+  std::printf("(gate: disabled <= 3%%)\n\n");
+  Require(gate.ratio <= 1.03,
           "disabled tracepoints must stay within 3% of the untraced crossing body");
 
   if (json != nullptr) {
-    json->AddRow("trace_off_baseline").Set("ns_per_crossing", t_plain);
+    json->AddRow("trace_off_baseline").Set("ns_per_crossing", gate.a_ns);
     json->AddRow("trace_compiled_disabled")
-        .Set("ns_per_crossing", t_gated)
+        .Set("ns_per_crossing", gate.b_ns)
         .Set("overhead_pct", overhead_pct);
     json->AddRow("trace_enabled").Set("ns_per_crossing", t_enabled);
   }

@@ -5,13 +5,13 @@
 // overhead, the two biggest rows of Figure 13.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "bench/gbench_json.h"
+#include "bench/paired_timing.h"
 #include "src/base/clock.h"
 #include "src/base/trace.h"
 #include "src/kernel/kernel.h"
@@ -141,12 +141,15 @@ BENCHMARK(BM_DirectKmallocKfree);
 // the same call bracketed by two more disabled TRACE_EVENTs. The marginal
 // cost of disabled tracepoints on a genuine wrapper crossing must stay
 // within 3%, asserted before the benchmark tables run so CI trips on it.
+// Plain and gated repetitions alternate, and the gate decides on the median
+// of the per-pair ratios (bench/paired_timing.h).
 void RunDisabledTraceGate() {
   Fixture& f = F();
   lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
   lxfi::TraceBuffer::SetEnabled(false);
   lxfi::TraceBuffer::Global().ResetForTest();
-  constexpr uint64_t kCalls = 200000;
+  constexpr uint64_t kCalls = 25000;
+  constexpr int kPairs = 61;
 
   auto plain_op = [&](uint64_t) { f.printk("x"); };
   auto gated_op = [&](uint64_t i) {
@@ -161,21 +164,13 @@ void RunDisabledTraceGate() {
     }
     return static_cast<double>(lxfi::MonotonicNowNs() - t0) / kCalls;
   };
-  auto best = [&](auto&& op) {
-    time_ns(op);  // warm
-    double t = time_ns(op);
-    for (int rep = 0; rep < 7; ++rep) {
-      t = std::min(t, time_ns(op));
-    }
-    return t;
-  };
-
-  double t_plain = best(plain_op);
-  double t_gated = best(gated_op);
-  double overhead_pct = (t_gated / t_plain - 1.0) * 100.0;
-  std::printf("trace gate: wrapped crossing %.2f ns, +2 disabled tracepoints %.2f ns (%+.2f%%)\n",
-              t_plain, t_gated, overhead_pct);
-  if (t_gated > 1.03 * t_plain) {
+  lxfibench::PairedResult gate = lxfibench::PairedRatio(
+      kPairs, [&] { return time_ns(plain_op); }, [&] { return time_ns(gated_op); });
+  double overhead_pct = (gate.ratio - 1.0) * 100.0;
+  std::printf("trace gate: wrapped crossing %.2f ns, +2 disabled tracepoints %.2f ns "
+              "(%+.2f%%, median of %d paired ratios)\n",
+              gate.a_ns, gate.b_ns, overhead_pct, kPairs);
+  if (gate.ratio > 1.03) {
     std::fprintf(stderr,
                  "FAILED: disabled tracepoints add %.2f%% to a wrapped crossing (gate: 3%%)\n",
                  overhead_pct);

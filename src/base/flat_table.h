@@ -670,10 +670,8 @@ class FlatRangeMap {
     DisposeRep(old);
   }
 
-  // True iff some range stored under `key` fully contains [addr, addr+size);
-  // reports that range via *lo/*hi.
-  bool FindContaining(uint64_t key, uintptr_t addr, uintptr_t end, uintptr_t* lo,
-                      uintptr_t* hi) const {
+  // True iff some range stored under `key` fully contains [addr, end).
+  bool FindContaining(uint64_t key, uintptr_t addr, uintptr_t end) const {
     if (size_ == 0) {
       return false;
     }
@@ -689,13 +687,9 @@ class FlatRangeMap {
       // containment is not a hit — another range for the same bucket may
       // follow on the probe chain.
       if (LXFI_LIKELY((s0.key == key) & (s0.lo <= addr) & (end <= s0.hi))) {
-        *lo = s0.lo;
-        *hi = s0.hi;
         return true;
       }
       if ((s1.key == key) & (s1.lo <= addr) & (end <= s1.hi)) {
-        *lo = s1.lo;
-        *hi = s1.hi;
         return true;
       }
       if ((s0.key == 0) | (s1.key == 0)) {
@@ -707,45 +701,15 @@ class FlatRangeMap {
 
   // Seqlock-validated lock-free variant of FindContaining for concurrent
   // readers (the SMP store-guard slow path).
-  bool FindContainingConcurrent(uint64_t key, uintptr_t addr, uintptr_t end, uintptr_t* lo,
-                                uintptr_t* hi) const {
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeConcurrent(rep, key, addr, end, lo, hi, /*containment=*/true);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
+  bool FindContainingConcurrent(uint64_t key, uintptr_t addr, uintptr_t end) const {
+    return ProbeValidated(key, addr, end, /*containment=*/true);
   }
 
   // True iff any range stored under `key` overlaps [addr, end). Lock-free;
   // used as the revoke pre-filter so RevokeEverywhere does not need to lock
   // principals that cannot hold the capability.
   bool AnyOverlapConcurrent(uint64_t key, uintptr_t addr, uintptr_t end) const {
-    uintptr_t lo, hi;
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeConcurrent(rep, key, addr, end, &lo, &hi, /*containment=*/false);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
+    return ProbeValidated(key, addr, end, /*containment=*/false);
   }
 
   // Inserts (key, [lo, hi)); exact duplicates are ignored. Returns true if
@@ -863,9 +827,29 @@ class FlatRangeMap {
     }
   }
 
-  // 1 hit, 0 miss, -1 overran (torn state; caller retries).
+  // Retries ProbeConcurrent until a pass validates against the seqlock.
+  bool ProbeValidated(uint64_t key, uintptr_t addr, uintptr_t end, bool containment) const {
+    while (true) {
+      uint64_t s = seq_.ReadBegin();
+      const Rep* rep = flat_internal::AcquireRep(&rep_);
+      if (rep == nullptr) {
+        if (seq_.ReadValidate(s)) {
+          return false;
+        }
+        continue;
+      }
+      int found = ProbeConcurrent(rep, key, addr, end, containment);
+      if (found >= 0 && seq_.ReadValidate(s)) {
+        return found == 1;
+      }
+      CpuRelax();
+    }
+  }
+
+  // 1 hit, 0 miss, -1 overran (torn state; caller retries). `containment`
+  // asks for a range holding all of [addr, end), otherwise any overlap.
   static int ProbeConcurrent(const Rep* rep, uint64_t key, uintptr_t addr, uintptr_t end,
-                             uintptr_t* lo, uintptr_t* hi, bool containment) {
+                             bool containment) {
     const Slot* s = rep->slots();
     const size_t mask = rep->mask;
     size_t i = IndexOf(rep, key);
@@ -877,10 +861,7 @@ class FlatRangeMap {
       if (k == key) {
         uintptr_t slo = __atomic_load_n(&s[i].lo, __ATOMIC_RELAXED);
         uintptr_t shi = __atomic_load_n(&s[i].hi, __ATOMIC_RELAXED);
-        bool hit = containment ? (slo <= addr) & (end <= shi) : (slo < end) & (addr < shi);
-        if (hit) {
-          *lo = slo;
-          *hi = shi;
+        if (containment ? (slo <= addr) & (end <= shi) : (slo < end) & (addr < shi)) {
           return 1;
         }
       }

@@ -223,8 +223,8 @@ class EpochReclaimer {
     std::atomic<bool> idle_{false};
   };
 
-  // Process-wide instance: retired memory is process-wide state in the same
-  // way RevocationEpoch is, and simulated CPUs from any kernel share it.
+  // Process-wide instance: retired memory is process-wide state, and
+  // simulated CPUs from any kernel share it.
   static EpochReclaimer& Global();
 
   // Registers the calling context as a reader, initially quiesced. Returns

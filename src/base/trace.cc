@@ -18,10 +18,6 @@ const char* TraceEventName(TraceEvent event) {
       return "cap-revoke";
     case TraceEvent::kCapTransfer:
       return "cap-transfer";
-    case TraceEvent::kEpochBump:
-      return "epoch-bump";
-    case TraceEvent::kMemoInvalidate:
-      return "memo-invalidate";
     case TraceEvent::kEpochRetire:
       return "epoch-retire";
     case TraceEvent::kEpochReclaim:
@@ -69,7 +65,7 @@ const char* TraceEventName(TraceEvent event) {
 }
 
 uint32_t MintPrincipalTraceId() {
-  // Process-wide like RevocationEpoch: trace ids must stay unique across
+  // Process-wide: trace ids must stay unique across
   // runtimes so a merged trace stream attributes unambiguously.
   static std::atomic<uint32_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -42,8 +42,6 @@ enum class TraceEvent : uint16_t {
   kCapGrant,         // arg0 = cap addr, arg1 = cap size (CALL/REF: 0)
   kCapRevoke,        // arg0 = cap addr, arg1 = cap size
   kCapTransfer,      // arg0 = cap addr, arg1 = cap size
-  kEpochBump,        // arg0 = new revocation epoch (cap_table.h)
-  kMemoInvalidate,   // arg0 = &EnforcementContext, arg1 = stale epoch
   // RCU-style reclamation (sync.cc).
   kEpochRetire,      // arg0 = retirement epoch, arg1 = pending retirees
   kEpochReclaim,     // arg0 = min seen epoch, arg1 = deleters run

@@ -113,7 +113,7 @@ NetperfHarness::NetperfHarness(bool isolated, bool guard_timing, int cpus) : imp
   if (cpus > 0) {
     // Per-CPU slab magazines keep the per-packet alloc/free pair off the
     // global allocator lock; the CpuSet threads give every CPU its own
-    // kthread context, memo shards and guard-counter shards.
+    // kthread context and enforcement counter shards.
     kernel_->slab().EnableSmpCache();
     impl_->cpus = std::make_unique<kern::CpuSet>(kernel_, cpus);
   }

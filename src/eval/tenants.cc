@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/string_util.h"
 #include "src/kernel/fs/vfs.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/panic.h"
@@ -71,14 +72,14 @@ TenantsHarness::TenantsHarness(const TenantsConfig& config) : impl_(new Impl()) 
     kern::Panic("tenants harness: ramfs failed to load");
   }
   for (int t = 0; t < config.tenants; ++t) {
-    im->mounts.push_back("/t" + std::to_string(t));
-    im->scopes.push_back("t" + std::to_string(t));
+    im->mounts.push_back(lxfi::StrFormat("/t%d", t));
+    im->scopes.push_back(lxfi::StrFormat("t%d", t));
     if (im->vfs->Mount("ramfs", im->mounts.back().c_str()) == nullptr) {
       kern::Panic("tenants harness: tenant mount failed");
     }
   }
   for (int t = 0; t < config.tenants; ++t) {
-    im->filter_names.push_back("flt" + std::to_string(t));
+    im->filter_names.push_back(lxfi::StrFormat("flt%d", t));
     mods::FsFilterConfig fc;
     fc.module_name = im->filter_names.back();
     fc.filter_name = im->filter_names.back().c_str();

@@ -85,7 +85,7 @@ CpuSet::~CpuSet() {
 KthreadContext* CpuSet::ctx(int cpu) const { return cpus_.at(cpu)->ctx; }
 
 void CpuSet::WorkerLoop(Cpu* cpu) {
-  // Per-CPU identity: shard index (memo shards, guard counters, slab
+  // Per-CPU identity: shard index (enforcement counter shards, slab
   // magazines), the CPU-local kernel context, epoch-reclaimer registration,
   // and this thread's stack bounds as the kthread's "kernel stack" (§3.2).
   lxfi::SetThisShardIndex(1 + cpu->id);

@@ -4,7 +4,7 @@
 // per-CPU run queue of work items (kthread bodies); while a CPU thread runs,
 // Kernel::current() resolves to that CPU's own kthread context
 // (kernel.h's CPU-local current), so enforcement state — shadow stacks,
-// per-(CPU, principal) memo shards, guard-counter shards — is naturally
+// per-(CPU, principal) enforcement counter shards — is naturally
 // per-CPU. Between work items every CPU passes through a quiescent state of
 // the process-wide EpochReclaimer, which is what lets the lock-free
 // enforcement read paths reclaim retired structures safely; long-running

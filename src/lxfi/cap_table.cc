@@ -75,11 +75,7 @@ bool CapTable::RevokeWriteOverlapping(uintptr_t addr, size_t size) {
       write_buckets_.EraseExact(BucketKey(b), r.lo, r.hi);
     }
   }
-  if (victims.empty()) {
-    return false;
-  }
-  RevocationEpoch::Bump();
-  return true;
+  return !victims.empty();
 }
 
 std::vector<Capability> CapTable::WriteRanges() const {
@@ -177,9 +173,6 @@ bool CapTable::MightHoldConcurrent(const Capability& cap) const {
 }
 
 void CapTable::Clear() {
-  if (!write_buckets_.empty() || !call_.empty()) {
-    RevocationEpoch::Bump();
-  }
   write_buckets_.Clear();
   call_.Clear();
   ref_.Clear();

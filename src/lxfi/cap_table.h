@@ -16,70 +16,20 @@
 // one short run of contiguous memory.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "src/base/flat_table.h"
 #include "src/base/hash.h"
-#include "src/base/trace.h"
 #include "src/lxfi/cap.h"
 
 namespace lxfi {
-
-// Process-wide generation counter bumped on every capability removal (revoke
-// or table clear) anywhere. EnforcementContext memos (last-hit WRITE range,
-// last-checked CALL target) record the generation observed *before* the
-// validating table probe; a bump anywhere invalidates every memo, which is
-// the conservative direction — a stale *positive* memo could otherwise
-// outlive the grant that justified it. Grants never bump it: adding
-// capabilities cannot turn a cached "allowed" into "denied". Revocation is
-// rare (transfer() actions, module unload), so the cost is an extra full
-// lookup right after one, never a missed check.
-//
-// SMP ordering: Bump() is acq_rel and Current() is acquire, so any thread
-// that observes (via any release/acquire chain) that a revoke has returned
-// also observes an epoch at least as new as that revoke's bump — its memos
-// filled under the old epoch can never validate. Combined with the rule
-// that revokes mutate the table *before* bumping, a revoke that has
-// returned is never passed by any CPU afterwards (the concurrent stress
-// test asserts exactly this).
-class RevocationEpoch {
- public:
-  // Acquire: the fill-protocol reads that must not sink past the table
-  // probe (WriteTableProbe and friends read the epoch *before* probing).
-  static uint64_t Current() { return counter_.load(std::memory_order_acquire); }
-  // Relaxed: memo-hit validation. The cross-CPU guarantee does not need
-  // ordering here — whoever observes (through any release/acquire chain)
-  // that a revoke returned also has the bump in their happens-before past,
-  // and coherence then forbids a relaxed load from returning the pre-bump
-  // value. Keeping this relaxed lets the compiler schedule the hit path
-  // exactly as the pre-SMP code did.
-  static uint64_t CurrentRelaxed() { return counter_.load(std::memory_order_relaxed); }
-  static void Bump() {
-    uint64_t now = counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    // Revocation is rare by design (see above), so the tracepoint sits on a
-    // cold path; when tracing is off it costs one relaxed load + branch.
-    TRACE_EVENT(TraceEvent::kEpochBump, 0, now, 0);
-  }
-
- private:
-  static inline std::atomic<uint64_t> counter_{1};
-};
 
 class CapTable {
  public:
   static constexpr uintptr_t kBucketShift = 12;
 
   CapTable() = default;
-  // Destroying a table that still holds capabilities is a removal event for
-  // memo purposes: a global principal's memo may have been satisfied by an
-  // instance table that is being dropped (principal teardown, module unload).
-  ~CapTable() {
-    if (!write_buckets_.empty() || !call_.empty()) {
-      RevocationEpoch::Bump();
-    }
-  }
 
   // --- WRITE --------------------------------------------------------------
   void GrantWrite(uintptr_t addr, size_t size);
@@ -89,20 +39,10 @@ class CapTable {
   // True iff some granted range fully contains [addr, addr+size).
   // Inline: this is the store-guard probe, called on every module write.
   bool CheckWrite(uintptr_t addr, size_t size) const {
-    uintptr_t lo, hi;
-    return FindWriteRange(addr, size, &lo, &hi);
-  }
-  // Like CheckWrite, but also reports the containing granted range
-  // [*lo, *hi) so callers can memoize it (EnforcementContext fast path).
-  bool FindWriteRange(uintptr_t addr, size_t size, uintptr_t* lo, uintptr_t* hi) const {
     if (size == 0) {
-      // Vacuously allowed; memoize nothing ([addr, addr) contains no byte).
-      *lo = addr;
-      *hi = addr;
-      return true;
+      return true;  // vacuously allowed: [addr, addr) contains no byte
     }
-    uintptr_t qend = RangeEnd(addr, size);
-    return write_buckets_.FindContaining(BucketKey(BucketOf(addr)), addr, qend, lo, hi);
+    return write_buckets_.FindContaining(BucketKey(BucketOf(addr)), addr, RangeEnd(addr, size));
   }
   // Enumerates distinct granted ranges, deduplicated and sorted by
   // (addr, size) — deterministic for snapshots and writer-set seeding.
@@ -110,13 +50,7 @@ class CapTable {
 
   // --- CALL ---------------------------------------------------------------
   void GrantCall(uintptr_t target) { call_.Insert(target); }
-  bool RevokeCall(uintptr_t target) {
-    if (!call_.Erase(target)) {
-      return false;
-    }
-    RevocationEpoch::Bump();
-    return true;
-  }
+  bool RevokeCall(uintptr_t target) { return call_.Erase(target); }
   bool CheckCall(uintptr_t target) const { return call_.Contains(target); }
 
   // --- REF ----------------------------------------------------------------
@@ -143,18 +77,12 @@ class CapTable {
   }
 
   // Lock-free seqlock-validated probes (the SMP enforcement slow paths).
-  bool FindWriteRangeConcurrent(uintptr_t addr, size_t size, uintptr_t* lo, uintptr_t* hi) const {
+  bool CheckWriteConcurrent(uintptr_t addr, size_t size) const {
     if (size == 0) {
-      *lo = addr;
-      *hi = addr;
       return true;
     }
-    uintptr_t qend = RangeEnd(addr, size);
-    return write_buckets_.FindContainingConcurrent(BucketKey(BucketOf(addr)), addr, qend, lo, hi);
-  }
-  bool CheckWriteConcurrent(uintptr_t addr, size_t size) const {
-    uintptr_t lo, hi;
-    return FindWriteRangeConcurrent(addr, size, &lo, &hi);
+    return write_buckets_.FindContainingConcurrent(BucketKey(BucketOf(addr)), addr,
+                                                   RangeEnd(addr, size));
   }
   bool CheckCallConcurrent(uintptr_t target) const { return call_.ContainsConcurrent(target); }
   bool CheckRefConcurrent(RefTypeId type, uintptr_t addr) const {

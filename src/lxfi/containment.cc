@@ -109,9 +109,6 @@ uint64_t Containment::QuarantineModule(kern::Module* module, Principal* victim) 
     runtime_->writer_set().ClearRange(rec.addr, rec.size);
     runtime_->RevokeEverywhere(Capability::Write(rec.addr, rec.size));
   }
-  // One epoch bump covers the whole quarantine: every memoized allow that
-  // named any of the sealed spans (or fallback objects) dies here.
-  RevocationEpoch::Bump();
   // Drop the module's filters from the live dispatch snapshots — new filter
   // runs never see them; in-flight runs hit the quarantined check instead.
   kern::Vfs* vfs = runtime_->kernel()->GetSubsystem<kern::Vfs>();

@@ -3,7 +3,7 @@
 // Turns a violation from a diagnostic into a bounded, attributed recovery
 // sequence:
 //   1. Quarantine — the offending module's principals are sealed (arena +
-//      slab partition, one revocation-epoch bump for the lot), its shared-heap
+//      slab partition; the span check then denies on every CPU), its shared-heap
 //      fallback objects are revoked, the module is flagged so every dispatch
 //      path (VFS filter chain, mount/fstype probes, file ops) fails fast with
 //      -EIO, and its filters are dropped from the live snapshot chain.

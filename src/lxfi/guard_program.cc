@@ -64,7 +64,6 @@ class GuardCompiler {
       }
       break;
     }
-    prog_->pre_memoizable_ = ComputePreMemoizable();
     if (prog_->ops_.size() > 0xffff) {
       return nullptr;  // jz targets are 16-bit; no real annotation gets close
     }
@@ -205,23 +204,6 @@ class GuardCompiler {
     return Emit(GuardOpcode::kActInline, flags, 0, b);
   }
 
-  bool ComputePreMemoizable() const {
-    if (prog_->pre_end_ == 0) {
-      return false;  // empty pre section: nothing to skip
-    }
-    for (uint32_t i = 0; i < prog_->pre_end_; ++i) {
-      const GuardOp& op = prog_->ops_[i];
-      if (op.op == GuardOpcode::kActIter) {
-        return false;  // iterator output depends on kernel state, not just args
-      }
-      if (op.op == GuardOpcode::kActInline &&
-          static_cast<Action::Op>(op.flags & GuardProgram::kActionMask) != Action::Op::kCheck) {
-        return false;  // copy/transfer mutate capability state
-      }
-    }
-    return true;
-  }
-
   const AnnotationSet& set_;
   const IteratorRegistry* iters_;
   std::unique_ptr<GuardProgram> prog_;
@@ -281,9 +263,9 @@ std::string GuardProgram::Disassemble() const {
       principal = "expr";
       break;
   }
-  std::string out = StrFormat("guard program '%s' ahash=%#llx ops=%zu principal=%s%s\n",
+  std::string out = StrFormat("guard program '%s' ahash=%#llx ops=%zu principal=%s\n",
                               name_.c_str(), static_cast<unsigned long long>(ahash_), ops_.size(),
-                              principal, pre_memoizable_ ? " pre_memoizable" : "");
+                              principal);
   auto param_comment = [&](uint16_t idx) -> std::string {
     if (idx < params_.size()) {
       return StrFormat("  ; %s", params_[idx].c_str());

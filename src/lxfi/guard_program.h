@@ -97,12 +97,6 @@ class GuardProgram {
   uint32_t post_end() const { return post_end_; }
   PrincipalKind principal_kind() const { return principal_kind_; }
 
-  // True when the pre section consists solely of inline check actions (no
-  // copy/transfer, no iterators): executing it grants and revokes nothing,
-  // so a clean pass for the same (program, args) on the same principal stays
-  // valid until the next revocation epoch — the EnforcementContext memo.
-  bool pre_memoizable() const { return pre_memoizable_; }
-
   const std::string& name() const { return name_; }
   uint64_t ahash() const { return ahash_; }
   size_t iter_slot_count() const { return iters_.size(); }
@@ -135,7 +129,6 @@ class GuardProgram {
   uint32_t pre_end_ = 0;
   uint32_t post_end_ = 0;
   PrincipalKind principal_kind_ = PrincipalKind::kNone;
-  bool pre_memoizable_ = false;
   std::string name_;
   uint64_t ahash_ = 0;
 };

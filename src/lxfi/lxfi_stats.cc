@@ -26,12 +26,8 @@ std::vector<LxfiStats::PrincipalMetrics> LxfiStats::Collect(const Runtime& rt) {
         m.hist[b] += ec.crossing_hist[b].value();
       }
       m.write_checks += ec.write_checks.value();
-      m.write_memo_hits += ec.write_memo_hits.value();
       m.arena_span_hits += ec.arena_span_hits.value();
       m.call_checks += ec.call_checks.value();
-      m.call_memo_hits += ec.call_memo_hits.value();
-      m.pre_checks += ec.pre_checks.value();
-      m.pre_memo_hits += ec.pre_memo_hits.value();
     }
     m.arena_fallbacks = p->arena_fallbacks();
     out.push_back(std::move(m));
@@ -87,12 +83,8 @@ std::string LxfiStats::DumpJson(const Runtime& rt, const std::string& tag) {
     AppendField(&out, "crossings", m.crossings, &first);
     AppendField(&out, "crossing_ns", m.crossing_ns, &first);
     AppendField(&out, "write_checks", m.write_checks, &first);
-    AppendField(&out, "write_memo_hits", m.write_memo_hits, &first);
     AppendField(&out, "arena_span_hits", m.arena_span_hits, &first);
     AppendField(&out, "call_checks", m.call_checks, &first);
-    AppendField(&out, "call_memo_hits", m.call_memo_hits, &first);
-    AppendField(&out, "pre_checks", m.pre_checks, &first);
-    AppendField(&out, "pre_memo_hits", m.pre_memo_hits, &first);
     AppendField(&out, "arena_fallbacks", m.arena_fallbacks, &first);
     for (size_t b = 0; b < EnforcementContext::kCrossingHistBuckets; ++b) {
       if (m.hist[b] != 0) {

@@ -1,8 +1,8 @@
 // Per-principal metrics registry (lxfi_stats).
 //
 // The raw material lives in the per-(CPU, principal) EnforcementContext
-// shards the enforcement hot paths already touch: guard counters, memo hit
-// rates, and — when collection is enabled — crossing counts with a log2
+// shards the enforcement hot paths already touch: guard counters, arena-span
+// hits, and — when collection is enabled — crossing counts with a log2
 // latency histogram (updated by Runtime::WrapperExit against the attributed
 // principal's shard, so the hot path gains no new cache misses). This file
 // is the read side: a quiescent snapshot walk over every module's
@@ -42,9 +42,12 @@ class LxfiStats {
     uint64_t crossing_ns = 0;
     uint64_t hist[EnforcementContext::kCrossingHistBuckets] = {};
     uint64_t write_checks = 0;
-    uint64_t write_memo_hits = 0;
     uint64_t arena_span_hits = 0;
     uint64_t call_checks = 0;
+    // Always 0: the WRITE, CALL and pre-check memos these counted are gone
+    // (every check probes the tables). Kept because perfbench still sums
+    // them into its memo-hit fractions; DumpJson omits them.
+    uint64_t write_memo_hits = 0;
     uint64_t call_memo_hits = 0;
     uint64_t pre_checks = 0;
     uint64_t pre_memo_hits = 0;

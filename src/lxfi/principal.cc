@@ -133,8 +133,8 @@ void ModuleCtx::DropInstance(uintptr_t name) {
   TRACE_EVENT(TraceEvent::kPrincipalDrop, doomed->trace_id(), name, 0);
   if (reclaimer_ != nullptr) {
     // Lock-free probes may still hold the principal until their next
-    // quiescent state; its capability tables (whose destructor also bumps
-    // the revocation epoch) die with it after the grace period.
+    // quiescent state; its capability tables die with it after the grace
+    // period.
     Principal* raw = doomed.release();
     reclaimer_->Retire([raw] { delete raw; });
   }
@@ -185,59 +185,44 @@ bool ModuleCtx::OwnsChainConcurrent(const Principal* p, Probe&& probe) const {
 
 // Heap-partition span as a chain step, with a definitive answer either way:
 // a principal's unsealed partition span satisfies WRITE queries exactly like
-// a granted range would (reported as the memo-fillable range [*lo, *hi)),
-// and a *sealed* span denies without consulting the principal's table — the
-// quarantined heap fails closed even where per-object kmalloc grants still
-// sit in the table. Folding the span into the chain (not just the
-// store-guard fast path) keeps the cap-table slow path and the arena fast
-// path giving identical allow/deny answers by construction — the slow path
-// is the differential reference.
+// a granted range would, and a *sealed* span denies without consulting the
+// principal's table — the quarantined heap fails closed even where
+// per-object kmalloc grants still sit in the table. Folding the span into
+// the chain (not just the store-guard fast path) keeps the cap-table slow
+// path and the arena fast path giving identical allow/deny answers by
+// construction — the slow path is the differential reference.
 enum class ArenaAnswer { kAllow, kDeny, kNotMine };
 
-static ArenaAnswer ArenaWriteProbe(const Principal& q, uintptr_t addr, size_t size, uintptr_t* lo,
-                                   uintptr_t* hi) {
+static ArenaAnswer ArenaWriteProbe(const Principal& q, uintptr_t addr, size_t size) {
   if (!q.ArenaContains(addr, size)) {
     return ArenaAnswer::kNotMine;
   }
-  if (q.arena_sealed()) {
-    return ArenaAnswer::kDeny;
+  return q.arena_sealed() ? ArenaAnswer::kDeny : ArenaAnswer::kAllow;
+}
+
+// One principal's WRITE answer: its span, else its table.
+template <bool kConcurrent>
+static bool PrincipalOwnsWrite(const Principal& q, uintptr_t addr, size_t size) {
+  switch (ArenaWriteProbe(q, addr, size)) {
+    case ArenaAnswer::kAllow:
+      return true;
+    case ArenaAnswer::kDeny:
+      return false;
+    case ArenaAnswer::kNotMine:
+      break;
   }
-  if (lo != nullptr) {
-    *lo = q.arena_lo();
-    *hi = q.arena_hi();
-  }
-  return ArenaAnswer::kAllow;
+  return kConcurrent ? q.caps().CheckWriteConcurrent(addr, size) : q.caps().CheckWrite(addr, size);
 }
 
 bool ModuleCtx::Owns(const Principal* p, const Capability& cap) const {
-  return OwnsChain(p, [&cap](const Principal& q) {
-    if (cap.kind == CapKind::kWrite) {
-      switch (ArenaWriteProbe(q, cap.addr, cap.size, nullptr, nullptr)) {
-        case ArenaAnswer::kAllow:
-          return true;
-        case ArenaAnswer::kDeny:
-          return false;
-        case ArenaAnswer::kNotMine:
-          break;
-      }
-    }
-    return q.caps().Check(cap);
-  });
+  if (cap.kind == CapKind::kWrite) {
+    return OwnsWrite(p, cap.addr, cap.size);
+  }
+  return OwnsChain(p, [&cap](const Principal& q) { return q.caps().Check(cap); });
 }
 
-bool ModuleCtx::OwnsWrite(const Principal* p, uintptr_t addr, size_t size, uintptr_t* lo,
-                          uintptr_t* hi) const {
-  return OwnsChain(p, [&](const Principal& q) {
-    switch (ArenaWriteProbe(q, addr, size, lo, hi)) {
-      case ArenaAnswer::kAllow:
-        return true;
-      case ArenaAnswer::kDeny:
-        return false;
-      case ArenaAnswer::kNotMine:
-        break;
-    }
-    return q.caps().FindWriteRange(addr, size, lo, hi);
-  });
+bool ModuleCtx::OwnsWrite(const Principal* p, uintptr_t addr, size_t size) const {
+  return OwnsChain(p, [&](const Principal& q) { return PrincipalOwnsWrite<false>(q, addr, size); });
 }
 
 bool ModuleCtx::OwnsCall(const Principal* p, uintptr_t target) const {
@@ -245,34 +230,15 @@ bool ModuleCtx::OwnsCall(const Principal* p, uintptr_t target) const {
 }
 
 bool ModuleCtx::OwnsConcurrent(const Principal* p, const Capability& cap) const {
-  return OwnsChainConcurrent(p, [&cap](const Principal& q) {
-    if (cap.kind == CapKind::kWrite) {
-      switch (ArenaWriteProbe(q, cap.addr, cap.size, nullptr, nullptr)) {
-        case ArenaAnswer::kAllow:
-          return true;
-        case ArenaAnswer::kDeny:
-          return false;
-        case ArenaAnswer::kNotMine:
-          break;
-      }
-    }
-    return q.caps().CheckConcurrent(cap);
-  });
+  if (cap.kind == CapKind::kWrite) {
+    return OwnsWriteConcurrent(p, cap.addr, cap.size);
+  }
+  return OwnsChainConcurrent(p, [&cap](const Principal& q) { return q.caps().CheckConcurrent(cap); });
 }
 
-bool ModuleCtx::OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size, uintptr_t* lo,
-                                    uintptr_t* hi) const {
-  return OwnsChainConcurrent(p, [&](const Principal& q) {
-    switch (ArenaWriteProbe(q, addr, size, lo, hi)) {
-      case ArenaAnswer::kAllow:
-        return true;
-      case ArenaAnswer::kDeny:
-        return false;
-      case ArenaAnswer::kNotMine:
-        break;
-    }
-    return q.caps().FindWriteRangeConcurrent(addr, size, lo, hi);
-  });
+bool ModuleCtx::OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size) const {
+  return OwnsChainConcurrent(
+      p, [&](const Principal& q) { return PrincipalOwnsWrite<true>(q, addr, size); });
 }
 
 bool ModuleCtx::OwnsCallConcurrent(const Principal* p, uintptr_t target) const {
@@ -291,9 +257,10 @@ bool ModuleCtx::RevokeEverywhere(const Capability& cap) {
   }
   // SMP path: pre-filter each principal lock-free so the common per-packet
   // transfer locks only the one principal that actually holds the
-  // capability. Table mutation happens before the revocation-epoch bump
-  // (inside CapTable::Revoke), preserving the "returned revokes are never
-  // passed" ordering.
+  // capability. The removal is a seqlock write section (inside
+  // CapTable::Revoke), so any probe that begins after this revoke returns
+  // validates only against the post-removal table: a returned revoke is
+  // never passed.
   auto revoke_one = [&cap](Principal* p) {
     if (!p->caps().MightHoldConcurrent(cap)) {
       return false;

@@ -12,8 +12,8 @@
 //
 // SMP model: a Principal owns one capability table (mutated under the
 // per-principal Spinlock in concurrent mode, probed lock-free by any CPU)
-// plus one EnforcementContext memo shard per simulated CPU, so hot-path
-// memo state never bounces between cores. ModuleCtx keeps an RCU-style
+// plus one EnforcementContext counter shard per simulated CPU, so hot-path
+// counters never bounce between cores. ModuleCtx keeps an RCU-style
 // published snapshot of its instance-principal list: creators publish a new
 // snapshot under the module lock, concurrent revokers and ownership chains
 // iterate the snapshot lock-free, and superseded snapshots (and dropped
@@ -28,6 +28,7 @@
 
 #include "src/base/flat_table.h"
 #include "src/base/sync.h"
+#include "src/base/trace.h"
 #include "src/lxfi/cap_table.h"
 #include "src/lxfi/enforcement_context.h"
 
@@ -76,8 +77,8 @@ class Principal {
   uint64_t writer_pages_gen() const { return writer_pages_gen_; }
   void set_writer_pages_gen(uint64_t gen) { writer_pages_gen_ = gen; }
 
-  // The fused per-CPU enforcement shard (memos + guard counters) the
-  // runtime hot paths operate on. A shard is written only by its CPU.
+  // The per-CPU enforcement shard (guard counters, crossing metrics) the
+  // runtime hot paths count into. A shard is written only by its CPU.
   EnforcementContext& ctx() { return shards_[ThisShardIndex()]; }
   const EnforcementContext& ctx() const { return shards_[ThisShardIndex()]; }
   EnforcementContext& ctx(int shard) { return shards_[shard]; }
@@ -85,11 +86,10 @@ class Principal {
   // --- partitioned-heap span -------------------------------------------------
   // The principal's heap-partition span [arena_lo_, arena_hi_): ownership of
   // the principal's own allocations as a pure address-range property. The
-  // store guard reads both bounds with relaxed loads (same discipline as
-  // RevocationEpoch::CurrentRelaxed); the three-compare form below is safe
-  // against any publish interleaving, because a half-published span — one
-  // bound still at its at-rest sentinel (lo=~0, hi=0) — can only *shrink*
-  // the accepted range to empty, never widen it.
+  // store guard reads both bounds with relaxed loads; the three-compare form
+  // below is safe against any publish interleaving, because a half-published
+  // span — one bound still at its at-rest sentinel (lo=~0, hi=0) — can only
+  // *shrink* the accepted range to empty, never widen it.
   static constexpr int kNoHeap = -1;
 
   void PublishArena(int partition, uintptr_t lo, uintptr_t hi) {
@@ -97,8 +97,8 @@ class Principal {
     arena_lo_.store(lo, std::memory_order_release);
     arena_hi_.store(hi, std::memory_order_release);
   }
-  // Sealing fails the span check closed; the caller (Runtime) bumps the
-  // revocation epoch so memoized allows covering the span die with it.
+  // Sealing fails the span check closed: every later WRITE check on the
+  // span denies, on any CPU that observes the store.
   void SealArena() { arena_sealed_.store(true, std::memory_order_release); }
   void ResetArena() {
     heap_partition_ = kNoHeap;
@@ -194,20 +194,16 @@ class ModuleCtx {
   //  - `p` is the global principal and *any* principal of the module owns it.
   bool Owns(const Principal* p, const Capability& cap) const;
 
-  // WRITE ownership with the same fallback chain, reporting the containing
-  // granted range [*lo, *hi) so the caller can fill its write memo.
-  bool OwnsWrite(const Principal* p, uintptr_t addr, size_t size, uintptr_t* lo,
-                 uintptr_t* hi) const;
-
-  // CALL ownership with the same fallback chain (no range to report).
+  // WRITE and CALL ownership with the same fallback chain, without building
+  // a Capability (the store-guard and CALL-check slow paths).
+  bool OwnsWrite(const Principal* p, uintptr_t addr, size_t size) const;
   bool OwnsCall(const Principal* p, uintptr_t target) const;
 
   // Lock-free variants for SMP enforcement: identical fallback chain, but
   // every table probe is seqlock-validated and the global-principal case
   // walks the published instance snapshot.
   bool OwnsConcurrent(const Principal* p, const Capability& cap) const;
-  bool OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size, uintptr_t* lo,
-                           uintptr_t* hi) const;
+  bool OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size) const;
   bool OwnsCallConcurrent(const Principal* p, uintptr_t target) const;
 
  private:

@@ -372,10 +372,6 @@ void Runtime::SealPrincipalHeap(Principal* p) {
   if (p->heap_partition() != Principal::kNoHeap) {
     kernel_->slab().SealPartition(p->heap_partition());
   }
-  // Memoized allows covering the span (and pre-check memos) die here; the
-  // span check itself runs before the memo, so the fast path is already
-  // closed on every CPU that observes the seal.
-  RevocationEpoch::Bump();
   TRACE_EVENT(TraceEvent::kHeapSeal, p->trace_id(), p->arena_lo(), p->arena_hi());
 }
 
@@ -514,50 +510,18 @@ void Runtime::CheckWrite(const void* dst, size_t size) {
   CheckWriteBody(p, addr, size);
 }
 
-// The two halves of the write-memo protocol, kept in exactly one place each
-// so the store guard (CheckWriteBody, which wedges the kernel-stack test
-// between them) and OwnsWriteFast (LxfiCheck, no stack grant) cannot drift.
-LXFI_ALWAYS_INLINE bool Runtime::WriteMemoProbe(EnforcementContext& ec, uintptr_t addr,
-                                                size_t size) {
-  ++ec.write_checks;
-  // Fast path: the last granted range that satisfied a check for this
-  // principal (memset / field-by-field store pattern). Three compares
-  // against the context the CurrentPrincipal() load already touched.
-  if (LXFI_LIKELY(ec.WriteMemoHit(addr, size))) {
-    ++ec.write_memo_hits;
-    return true;
-  }
-  return false;
-}
-
-LXFI_ALWAYS_INLINE bool Runtime::WriteTableProbe(Principal* p, EnforcementContext& ec,
-                                                 uintptr_t addr, size_t size) {
-  // Epoch before the probe: if a revoke interleaves, the memo is filled
-  // already stale instead of outliving the revoke (see enforcement_context.h).
-  uint64_t epoch = RevocationEpoch::Current();
-  uintptr_t lo, hi;
-  bool owned = LXFI_UNLIKELY(options_.concurrent_enforcement)
-                   ? p->module()->OwnsWriteConcurrent(p, addr, size, &lo, &hi)
-                   : p->module()->OwnsWrite(p, addr, size, &lo, &hi);
-  if (!owned) {
-    return false;
-  }
-  ec.FillWriteMemo(lo, hi, epoch);
-  return true;
-}
-
 void Runtime::CheckWriteBody(Principal* p, uintptr_t addr, size_t size) {
   EnforcementContext& ec = p->ctx();
+  ++ec.write_checks;
   // Partitioned-heap fast path: the overwhelmingly common store — a module
   // writing memory it kmalloc'd itself — resolves on the principal's own
-  // span before the memo and any table probe. Two relaxed loads and a
-  // flag-combining compare chain; when partitions are off both bounds sit
-  // at their at-rest sentinels and the first compare falls through. Sealing
-  // turns the same compare into an immediate violation attributed to the
-  // sealed principal: its own heap fails closed without consulting the
-  // table (which may still hold per-object grants).
+  // span before any table probe. Two relaxed loads and a flag-combining
+  // compare chain; when partitions are off both bounds sit at their at-rest
+  // sentinels and the first compare falls through. Sealing turns the same
+  // compare into an immediate violation attributed to the sealed principal:
+  // its own heap fails closed without consulting the table (which may still
+  // hold per-object grants).
   if (p->ArenaContains(addr, size)) {
-    ++ec.write_checks;
     if (LXFI_LIKELY(!p->arena_sealed())) {
       ++ec.arena_span_hits;
       return;
@@ -568,16 +532,17 @@ void Runtime::CheckWriteBody(Principal* p, uintptr_t addr, size_t size) {
                    addr);
     return;
   }
-  if (WriteMemoProbe(ec, addr, size)) {
-    return;
-  }
   // §3.2 initial capability (2): the current kernel stack is always
-  // module-writable. Two compares; no memo (the table path below would
-  // otherwise never warm up for heap objects).
+  // module-writable. Two compares.
   if (OnKernelStack(addr, size)) {
     return;
   }
-  if (LXFI_LIKELY(WriteTableProbe(p, ec, addr, size))) {
+  // The ownership fallback chain (span, then flat table, per principal),
+  // seqlock-validated under concurrent_enforcement.
+  bool owned = LXFI_UNLIKELY(options_.concurrent_enforcement)
+                   ? p->module()->OwnsWriteConcurrent(p, addr, size)
+                   : p->module()->OwnsWrite(p, addr, size);
+  if (LXFI_LIKELY(owned)) {
     return;
   }
   RaiseViolation(ViolationKind::kWrite,
@@ -587,31 +552,22 @@ void Runtime::CheckWriteBody(Principal* p, uintptr_t addr, size_t size) {
 }
 
 bool Runtime::OwnsWriteFast(Principal* p, uintptr_t addr, size_t size) {
-  // Same ordering as the store guard: span (sealed fails closed, before the
-  // memo can resurrect a stale allow), then memo, then tables.
+  // Same order as the store guard: the span answers definitively (a sealed
+  // span fails closed), then the tables.
   if (p->ArenaContains(addr, size)) {
     return !p->arena_sealed();
   }
-  EnforcementContext& ec = p->ctx();
-  return WriteMemoProbe(ec, addr, size) || WriteTableProbe(p, ec, addr, size);
+  ++p->ctx().write_checks;
+  return LXFI_UNLIKELY(options_.concurrent_enforcement)
+             ? p->module()->OwnsWriteConcurrent(p, addr, size)
+             : p->module()->OwnsWrite(p, addr, size);
 }
 
 bool Runtime::OwnsCallFast(Principal* p, uintptr_t target) {
-  EnforcementContext& ec = p->ctx();
-  ++ec.call_checks;
-  if (ec.CallMemoHit(target)) {
-    ++ec.call_memo_hits;
-    return true;
-  }
-  uint64_t epoch = RevocationEpoch::Current();
-  bool owned = LXFI_UNLIKELY(options_.concurrent_enforcement)
-                   ? p->module()->OwnsCallConcurrent(p, target)
-                   : p->module()->OwnsCall(p, target);
-  if (!owned) {
-    return false;
-  }
-  ec.FillCallMemo(target, epoch);
-  return true;
+  ++p->ctx().call_checks;
+  return LXFI_UNLIKELY(options_.concurrent_enforcement)
+             ? p->module()->OwnsCallConcurrent(p, target)
+             : p->module()->OwnsCall(p, target);
 }
 
 void Runtime::CheckCall(Principal* p, uintptr_t target, const std::string& name) {
@@ -706,8 +662,8 @@ void Runtime::LxfiCheck(const Capability& cap) {
   if (p == nullptr) {
     return;
   }
-  // WRITE and CALL route through the EnforcementContext memos; the memo only
-  // ever caches table-backed (not stack) ranges, so semantics match Owns().
+  // WRITE and CALL go through the counted fast-path entry points; neither
+  // applies the kernel-stack grant, so semantics match Owns().
   bool ok;
   switch (cap.kind) {
     case CapKind::kWrite:
@@ -1092,41 +1048,6 @@ int64_t Runtime::ExecOps(const GuardProgram& prog, uint32_t pc, uint32_t end, co
     ++pc;
   }
   return sp > 0 ? stack[sp - 1] : 0;
-}
-
-void Runtime::ExecGuards(const GuardProgram& prog, CallEnv& env, bool post) {
-  const uint32_t begin = post ? prog.pre_end() : 0;
-  const uint32_t end = post ? prog.post_end() : prog.pre_end();
-  if (begin == end) {
-    return;
-  }
-  // Pure-check pre sections under the (program, args) memo: a clean pass
-  // repeats until a revocation bumps the epoch, so the common back-to-back
-  // crossing costs a handful of compares instead of guard evaluation. Only
-  // the module->kernel direction participates: kernel->module pre checks are
-  // no-ops (from_module is false), and a "clean" no-op pass must not seed
-  // the memo a module->kernel crossing of the same program could then hit.
-  if (!post && !env.kernel_to_module && prog.pre_memoizable() && env.principal != nullptr &&
-      env.nargs <= EnforcementContext::kPreMemoArgs) {
-    EnforcementContext& ec = env.principal->ctx();
-    ++ec.pre_checks;
-    if (ec.PreMemoHit(&prog, env.args, env.nargs)) {
-      ++ec.pre_memo_hits;
-      return;
-    }
-    // Epoch before evaluation, violation sequence around it: a pass is
-    // memoized only if it was clean and no revoke raced the checks.
-    uint64_t epoch = RevocationEpoch::Current();
-    uint64_t violations_before = violation_seq_.load(std::memory_order_relaxed);
-    ExecOps(prog, begin, end, env, post);
-    // Under the throwing policy a violation already unwound past us; under
-    // the counting policy the sequence says whether the pass was clean.
-    if (violation_seq_.load(std::memory_order_relaxed) == violations_before) {
-      ec.FillPreMemo(&prog, env.args, env.nargs, epoch);
-    }
-    return;
-  }
-  ExecOps(prog, begin, end, env, post);
 }
 
 Principal* Runtime::SelectCalleePrincipal(const GuardProgram& prog, ModuleCtx* mc,

@@ -43,7 +43,7 @@ struct RuntimeOptions {
   // Per-principal partitioned heaps (IA2-style): each principal's kmalloc
   // allocations come from its own arena slot, so the store guard's common
   // case — a module writing memory it allocated itself — collapses to a
-  // span compare checked before the memo and any table probe, sealing a
+  // span compare checked before any table probe, sealing a
   // principal quarantines its heap, and module unload tears arenas down in
   // bulk. Off by default: the shared heap keeps the slab adjacency the
   // exploit suite (and the stock-kernel baseline) depends on. The trade-off
@@ -122,8 +122,7 @@ class Runtime : public kern::IsolationHooks {
   void* PartitionedAlloc(size_t size);
   // Quarantine: seals the principal's arena. The store-guard fast path then
   // fails closed on the span (violations attributed to the sealed
-  // principal), fresh allocations fail, and the revocation epoch bump kills
-  // every memoized allow that covered the span.
+  // principal) and fresh allocations fail.
   void SealPrincipalHeap(Principal* p);
   // Per-object RevokeEverywhere calls since construction; the bulk-teardown
   // tests assert module unload leaves this untouched.
@@ -160,16 +159,15 @@ class Runtime : public kern::IsolationHooks {
 
   // --- instrumentation entry points ---------------------------------------
   // Module store guard (inserted before each memory write, §4.2). The fast
-  // path is the per-(CPU, principal) EnforcementContext write memo; the
-  // slow path is one flat-table probe per fallback principal (lock-free
-  // seqlock-validated under concurrent_enforcement).
+  // path is the principal's heap-partition span; the slow path is one
+  // flat-table probe per fallback principal (lock-free seqlock-validated
+  // under concurrent_enforcement).
   void CheckWrite(const void* dst, size_t size);
   // CALL-capability check for a module's direct (wrapped) call.
   void CheckCall(Principal* p, uintptr_t target, const std::string& name);
-  // WRITE/CALL ownership through the principal's per-CPU memo shard
-  // (positive answers are memoized; see enforcement_context.h). Public so
-  // concurrency stress tests can drive the exact memoized path the guards
-  // use.
+  // WRITE/CALL ownership as the guards answer it, counted in the
+  // principal's per-CPU shard (no kernel-stack grant). Public so
+  // concurrency stress tests can drive the exact path the guards use.
   bool OwnsWriteFast(Principal* p, uintptr_t addr, size_t size);
   bool OwnsCallFast(Principal* p, uintptr_t target);
 
@@ -197,9 +195,8 @@ class Runtime : public kern::IsolationHooks {
   // full attribution (faulting principal, fault address, innermost crossing
   // label). A long-running runtime under a counting policy used to grow an
   // unbounded vector here; the ring caps memory while violation_seq_ keeps
-  // the exact total. The sequence is monotone for the runtime's lifetime —
-  // the ExecGuards pre-memo protocol compares it across a guard evaluation,
-  // so ClearViolations only moves the visible baseline, never the sequence.
+  // the exact total. The sequence is monotone for the runtime's lifetime:
+  // ClearViolations only moves the visible baseline, never the sequence.
   static constexpr size_t kViolationRingSize = 64;
   void RaiseViolation(ViolationKind kind, const std::string& details, uint64_t fault_addr = 0);
   // Containment engine consulted under ViolationPolicy::kQuarantine
@@ -234,8 +231,10 @@ class Runtime : public kern::IsolationHooks {
   // lookup or dispatch decision happens per crossing; the empty-section skip
   // (most annotations have no post actions) stays inline in the wrapper.
   void RunGuards(const GuardProgram& prog, CallEnv& env, bool post) {
-    if (post ? prog.pre_end() != prog.post_end() : prog.pre_end() != 0) {
-      ExecGuards(prog, env, post);
+    const uint32_t begin = post ? prog.pre_end() : 0;
+    const uint32_t end = post ? prog.post_end() : prog.pre_end();
+    if (begin != end) {
+      ExecOps(prog, begin, end, env, post);
     }
   }
   // Resolves the principal() annotation for a kernel->module call.
@@ -266,9 +265,6 @@ class Runtime : public kern::IsolationHooks {
 
  private:
   // --- compiled guard evaluation (guard_program.h) -------------------------
-  // Runs one section (pre or post) of a compiled program, including the
-  // EnforcementContext pre-check memo protocol for memoizable pre sections.
-  void ExecGuards(const GuardProgram& prog, CallEnv& env, bool post);
   // The tight switch-loop evaluator over ops [pc, end); returns the top of
   // stack (the principal-expression sections' result, 0 otherwise).
   int64_t ExecOps(const GuardProgram& prog, uint32_t pc, uint32_t end, const CallEnv& env,
@@ -277,10 +273,6 @@ class Runtime : public kern::IsolationHooks {
   // --- enforcement fast-path internals ------------------------------------
   // Store-guard body shared by the timed and counter-only entry paths.
   void CheckWriteBody(Principal* p, uintptr_t addr, size_t size);
-  // The write-memo protocol, one copy of each half: memo probe (count +
-  // hit test) and table probe (fallback chain + memo fill).
-  bool WriteMemoProbe(EnforcementContext& ec, uintptr_t addr, size_t size);
-  bool WriteTableProbe(Principal* p, EnforcementContext& ec, uintptr_t addr, size_t size);
   // Indirect-call body shared by the timed and counter-only entry paths.
   template <bool kTimed>
   void IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr_t target);

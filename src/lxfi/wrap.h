@@ -89,9 +89,8 @@ std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string
       // no module privilege is being exercised, call straight through.
       return k->funcs().Invoke<Ret, Args...>(kaddr, args...);
     }
-    // CALL check through the caller's EnforcementContext: a wrapper invoked
-    // back-to-back (packet paths) hits the 1-entry call memo instead of
-    // probing the capability tables.
+    // CALL check against the caller's capability tables (shared principal
+    // fallback included), counted in its EnforcementContext shard.
     rt->CheckCall(caller, kaddr, name);
     std::array<uint64_t, sizeof...(Args)> raw{ToRaw(args)...};
     CallEnv env;

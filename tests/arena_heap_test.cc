@@ -100,8 +100,8 @@ TEST_F(ArenaHeapTest, StoreGuardResolvesOnArenaSpan) {
   lxfi::Store(*module_, p + 7, uint64_t{43});
   EXPECT_EQ(p[0], 41u);
   EXPECT_EQ(p[7], 43u);
-  // Every one of those stores resolved on the span compare, before the
-  // memo and before any table probe.
+  // Every one of those stores resolved on the span compare, before any
+  // table probe.
   EXPECT_EQ(shared()->ctx().arena_span_hits, span_hits_before + 3);
   // Out-of-arena stores still violate (kernel-heap victim).
   auto* victim = static_cast<uint64_t*>(slab().Alloc(sizeof(uint64_t)));
@@ -110,7 +110,7 @@ TEST_F(ArenaHeapTest, StoreGuardResolvesOnArenaSpan) {
 }
 
 // Differential reference: the capability slow path (Runtime::Owns walks the
-// same ownership chains WriteTableProbe uses) must agree with the memoized
+// same ownership chains the store guard uses) must agree with the span-first
 // fast path on every allow/deny decision while the arena is unsealed.
 TEST_F(ArenaHeapTest, FastAndSlowPathsAgreeOnAllowAndDeny) {
   lxfi::ScopedPrincipal as_module(&rt(), shared());
@@ -150,7 +150,7 @@ TEST_F(ArenaHeapTest, SealedArenaFailsClosedAndAttributes) {
   EXPECT_TRUE(shared()->arena_sealed());
 
   // The principal's own store into its own allocation now fails closed —
-  // before the memo or table can resurrect the per-object grant — and the
+  // before the table can resurrect the per-object grant — and the
   // violation is attributed to the sealed principal.
   EXPECT_THROW(lxfi::Store(*module_, p, uint64_t{8}), lxfi::LxfiViolation);
   EXPECT_EQ(p[0], 7u) << "the store must not land";
@@ -177,15 +177,14 @@ TEST_F(ArenaHeapTest, SealedArenaFailsClosedAndAttributes) {
   EXPECT_EQ(slab().live_objects(), live_before - 1);
 }
 
-TEST_F(ArenaHeapTest, SealKillsMemoizedAllows) {
+TEST_F(ArenaHeapTest, SealDeniesPreviouslyAllowedStore) {
   lxfi::ScopedPrincipal as_module(&rt(), shared());
   auto* p = static_cast<uint64_t*>(st_->kmalloc(64));
   ASSERT_NE(p, nullptr);
   uintptr_t addr = reinterpret_cast<uintptr_t>(p);
   EXPECT_TRUE(rt().OwnsWriteFast(shared(), addr, 8));
   rt().SealPrincipalHeap(shared());
-  // Span check fails closed, and the epoch bump means no stale memo can
-  // answer for the span either.
+  // The span check fails closed on the very next query.
   EXPECT_FALSE(rt().OwnsWriteFast(shared(), addr, 8));
 }
 

@@ -5,7 +5,7 @@
 // that began before a revoke returned may pass with the old capability, but
 // once a thread has observed — through ordinary release/acquire
 // synchronization — that a revoke has returned, no check on any CPU may
-// pass for the revoked capability, memos included. Plus a grant/revoke/
+// pass for the revoked capability. Plus a grant/revoke/
 // instance-churn storm that exercises rehash + grace-period reclamation
 // under concurrent readers.
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ struct ConcurrentRig {
 };
 
 // One checker per CPU spins on OwnsWriteFast/OwnsCallFast — the exact
-// memoized paths the store guard and CALL check use — while the main thread
+// paths the store guard and CALL check use — while the main thread
 // grants and revokes in phases. Phase protocol: phase = 2*round+1 after the
 // round's grant returned, 2*round+2 after its revoke returned. A checker
 // that loads phase == revoked(round) *before* checking must see the check
@@ -82,8 +82,8 @@ TEST(ConcurrentEnforcement, RevokeFenceNeverPassesAfterReturn) {
         bool wok = rig.rt()->OwnsWriteFast(p, write_addr(round), 8);
         bool cok = rig.rt()->OwnsCallFast(p, call_addr(round));
         if (revoked_phase) {
-          // The revoke for `round` returned before we loaded `ph`; neither
-          // the table nor any memo may still say yes.
+          // The revoke for `round` returned before we loaded `ph`; the
+          // tables may no longer say yes.
           if (wok || cok) {
             stale_passes.fetch_add(1);
           }
@@ -113,7 +113,7 @@ TEST(ConcurrentEnforcement, RevokeFenceNeverPassesAfterReturn) {
     rig.rt()->Grant(p, wcap);
     rig.rt()->Grant(p, ccap);
     phase.store(2 * round + 1, std::memory_order_release);
-    wait_all_acked(2 * round + 1);  // every CPU passed (and memoized) it
+    wait_all_acked(2 * round + 1);  // every CPU passed it
     rig.rt()->RevokeEverywhere(wcap);
     rig.rt()->RevokeEverywhere(ccap);
     phase.store(2 * round + 2, std::memory_order_release);
@@ -216,7 +216,7 @@ TEST(ConcurrentEnforcement, GrantRevokeInstanceStorm) {
 // half-visible span fail every contains check), and (b) once a walker has
 // observed — through the phase release/acquire edge — that the seal
 // returned, no span check may still answer yes: the quarantine fails closed
-// across CPUs, memos included (the seal bumps the revocation epoch).
+// across CPUs.
 TEST(ConcurrentEnforcement, ArenaAllocSealTeardownStorm) {
   ConcurrentRig rig;
   rig.rt()->EnablePartitionedHeaps();
@@ -318,21 +318,6 @@ TEST(ConcurrentEnforcement, ArenaAllocSealTeardownStorm) {
   EXPECT_GT(span_probes.load(), 0u);
   // Every slot went back on the free list: a fresh partition still carves.
   EXPECT_NE(rig.bench->kernel->slab().CreatePartition(), kern::SlabAllocator::kNoPartition);
-}
-
-// Memo-specific regression: a memo filled by a probe that raced a revoke
-// must be born stale. Driven deterministically here (the fence test above
-// covers it statistically): fill happens with an epoch read before the
-// probe, so validation after the revoke's bump must fail.
-TEST(ConcurrentEnforcement, MemoFilledAcrossRevokeIsStale) {
-  ConcurrentRig rig;
-  lxfi::Principal* p = rig.mc->GetOrCreate(0xbeef);
-  lxfi::Capability cap = lxfi::Capability::Write(kPoolBase, 64);
-  rig.rt()->Grant(p, cap);
-  EXPECT_TRUE(rig.rt()->OwnsWriteFast(p, kPoolBase, 8));  // memoized
-  rig.rt()->RevokeEverywhere(cap);
-  // The revoke returned: the memo must not validate, and the table says no.
-  EXPECT_FALSE(rig.rt()->OwnsWriteFast(p, kPoolBase, 8));
 }
 
 }  // namespace

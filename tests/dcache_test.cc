@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/string_util.h"
 #include "src/kernel/fs/dcache.h"
 #include "src/kernel/fs/vfs.h"
 #include "src/kernel/kernel.h"
@@ -44,7 +45,7 @@ TEST_P(DcacheDifferential, RandomOpsMatchNaiveModel) {
   // A small name pool makes collisions (under the mask) and repeats likely.
   std::vector<std::string> pool;
   for (int i = 0; i < 48; ++i) {
-    pool.push_back("n" + std::to_string(i * 7919 % 97));
+    pool.push_back(lxfi::StrFormat("n%d", i * 7919 % 97));
   }
   lxfi::Rng rng(0xDCACE + GetParam());
 
@@ -185,7 +186,7 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
   kern::Inode stable_inode;
   stable_inode.mode = kern::kIfReg;
   for (int i = 0; i < kStable; ++i) {
-    std::string name = "s" + std::to_string(i);
+    std::string name = lxfi::StrFormat("s%d", i);
     kern::Dentry* d = dc.NewDentry(nullptr, parent, name.c_str());
     kern::Dcache::SetPositive(d, &stable_inode);
     lxfi::SpinGuard guard(parent->child_lock);

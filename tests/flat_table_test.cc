@@ -1,6 +1,5 @@
 // Unit and property tests for the flat enforcement containers
-// (src/base/flat_table.h, src/base/small_vector.h) and for the
-// EnforcementContext memo invalidation rules.
+// (src/base/flat_table.h, src/base/small_vector.h).
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -10,7 +9,6 @@
 #include "src/base/flat_table.h"
 #include "src/base/rng.h"
 #include "src/base/small_vector.h"
-#include "src/lxfi/enforcement_context.h"
 
 namespace {
 
@@ -268,62 +266,6 @@ TEST(FlatTable, SmallVectorValuesSurviveChurn) {
       ASSERT_EQ((*got)[i], expect[i]);
     }
   }
-}
-
-// --- EnforcementContext memos ----------------------------------------------
-
-TEST(EnforcementContext, WriteMemoHitsWithinFilledRange) {
-  lxfi::EnforcementContext ec;
-  EXPECT_FALSE(ec.WriteMemoHit(0x1000, 8));
-  ec.FillWriteMemo(0x1000, 0x2000, lxfi::RevocationEpoch::Current());
-  EXPECT_TRUE(ec.WriteMemoHit(0x1000, 8));
-  EXPECT_TRUE(ec.WriteMemoHit(0x1ff8, 8));
-  EXPECT_TRUE(ec.WriteMemoHit(0x1000, 0x1000));
-  EXPECT_FALSE(ec.WriteMemoHit(0xfff, 8));    // starts before
-  EXPECT_FALSE(ec.WriteMemoHit(0x1ff9, 8));   // runs past the end
-  EXPECT_FALSE(ec.WriteMemoHit(0x3000, 8));   // disjoint
-}
-
-TEST(EnforcementContext, EmptyRangeIsNeverMemoized) {
-  lxfi::EnforcementContext ec;
-  ec.FillWriteMemo(0x1000, 0x1000, lxfi::RevocationEpoch::Current());
-  EXPECT_FALSE(ec.WriteMemoHit(0x1000, 8));
-}
-
-TEST(EnforcementContext, RevocationEpochInvalidatesMemos) {
-  lxfi::EnforcementContext ec;
-  ec.FillWriteMemo(0x1000, 0x2000, lxfi::RevocationEpoch::Current());
-  ec.FillCallMemo(0xffffffff81000100ull, lxfi::RevocationEpoch::Current());
-  EXPECT_TRUE(ec.WriteMemoHit(0x1000, 8));
-  EXPECT_TRUE(ec.CallMemoHit(0xffffffff81000100ull));
-  lxfi::RevocationEpoch::Bump();
-  EXPECT_FALSE(ec.WriteMemoHit(0x1000, 8));
-  EXPECT_FALSE(ec.CallMemoHit(0xffffffff81000100ull));
-  // Refill re-arms at the new epoch.
-  ec.FillWriteMemo(0x1000, 0x2000, lxfi::RevocationEpoch::Current());
-  EXPECT_TRUE(ec.WriteMemoHit(0x1000, 8));
-}
-
-TEST(EnforcementContext, StaleEpochFillNeverValidates) {
-  // The SMP fill protocol passes the epoch read *before* the table probe: if
-  // a revoke raced the probe, the memo must be born invalid.
-  lxfi::EnforcementContext ec;
-  uint64_t before = lxfi::RevocationEpoch::Current();
-  lxfi::RevocationEpoch::Bump();  // revoke lands between epoch read and fill
-  ec.FillWriteMemo(0x1000, 0x2000, before);
-  EXPECT_FALSE(ec.WriteMemoHit(0x1000, 8));
-  ec.FillCallMemo(0xffffffff81000100ull, before);
-  EXPECT_FALSE(ec.CallMemoHit(0xffffffff81000100ull));
-}
-
-TEST(EnforcementContext, CapTableRevokeInvalidatesAnyMemo) {
-  lxfi::EnforcementContext ec;
-  ec.FillWriteMemo(0x5000, 0x6000, lxfi::RevocationEpoch::Current());
-  // A revoke on some unrelated table still invalidates (conservative).
-  lxfi::CapTable other;
-  other.GrantWrite(0x9000, 64);
-  EXPECT_TRUE(other.RevokeWriteOverlapping(0x9000, 64));
-  EXPECT_FALSE(ec.WriteMemoHit(0x5000, 8));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The annotation compile pass (guard_program.h): golden disassemblies of the
-// compiler's output, the EnforcementContext pre-check memo protocol, and a
-// differential property test that drives randomly generated annotation sets
+// compiler's output, revocation finality for the checks the guards run, and
+// a differential property test that drives randomly generated annotation sets
 // through both the compiled GuardProgram and the AST-interpreter oracle
 // (guard_oracle.h) and demands identical capability effects, violation
 // records, and principal selection.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,43 +87,17 @@ TEST(GuardCompiler, DisassemblyKmalloc) {
             "   6: transfer write, size\n");
 }
 
-TEST(GuardCompiler, DisassemblySpinLockIsMemoizable) {
+TEST(GuardCompiler, DisassemblySpinLockPureCheck) {
   auto set = MustParse("spin_lock", {"lock"}, "pre(check(write, lock, 8))");
   auto prog = CompileAnnotations(*set, nullptr);
   ASSERT_NE(prog, nullptr);
-  EXPECT_TRUE(prog->pre_memoizable());
   EXPECT_EQ(prog->Disassemble(),
-            "guard program 'spin_lock' ahash=0x665a74bcd13d0dc4 ops=3 principal=none "
-            "pre_memoizable\n"
+            "guard program 'spin_lock' ahash=0x665a74bcd13d0dc4 ops=3 principal=none\n"
             "pre:\n"
             "   0: push_arg   0  ; lock\n"
             "   1: push_const #0  ; 8\n"
             "   2: check    write, size\n"
             "post:\n");
-}
-
-TEST(GuardCompiler, MemoizabilityRules) {
-  // Pure inline checks: memoizable.
-  EXPECT_TRUE(CompileAnnotations(*MustParse("f", {"a"}, "pre(check(write, a, 8))"), nullptr)
-                  ->pre_memoizable());
-  // Conditional checks stay memoizable (the condition depends only on args).
-  EXPECT_TRUE(
-      CompileAnnotations(*MustParse("f", {"a", "b"}, "pre(if (b > 0) check(call, a))"), nullptr)
-          ->pre_memoizable());
-  // Iterator output depends on kernel state: not memoizable.
-  EXPECT_FALSE(CompileAnnotations(*MustParse("f", {"a"}, "pre(check(skb_caps(a)))"), nullptr)
-                   ->pre_memoizable());
-  // Copy/transfer mutate capability state: not memoizable.
-  EXPECT_FALSE(CompileAnnotations(*MustParse("f", {"a"}, "pre(transfer(write, a, 8))"), nullptr)
-                   ->pre_memoizable());
-  // Empty pre section: nothing to memoize.
-  EXPECT_FALSE(CompileAnnotations(*MustParse("f", {"a"}, "post(copy(write, a, 8))"), nullptr)
-                   ->pre_memoizable());
-  // Post sections never affect pre memoizability.
-  EXPECT_TRUE(CompileAnnotations(
-                  *MustParse("f", {"a"}, "pre(check(write, a, 8)) post(transfer(write, a, 8))"),
-                  nullptr)
-                  ->pre_memoizable());
 }
 
 // Every annotation the kernel API registers lowers to a program (Register
@@ -372,87 +347,53 @@ TEST(GuardDifferential, RandomAnnotationSetsMatchInterpreter) {
   }
 }
 
-// The memo must never change observable behavior: replay every shot twice on
-// the compiled rig (priming the memo) and on the oracle, which never
-// memoizes.
-TEST(GuardDifferential, MemoizedReplayMatchesInterpreter) {
-  lxfi::Rng rng(411);
-  AnnotationGen gen(&rng);
-  Rig compiled;
-  Rig interp;
-  std::vector<std::string> params = {"a", "b", "c"};
-  for (int iter = 0; iter < 100; ++iter) {
-    std::string text = "pre(" + (rng.Chance(0.5) ? std::string("check(write, a, 64)")
-                                                 : std::string("if (b > 2) check(write, a, 8)")) +
-                       ") " + gen.GenSet();
-    std::string name = "memo_fn_" + std::to_string(iter);
-    ASSERT_TRUE(compiled.rt->annotations().Register(name, params, text).ok()) << text;
-    ASSERT_TRUE(interp.rt->annotations().Register(name, params, text).ok()) << text;
-    uint64_t args[3] = {kObjBase + rng.Below(4) * 0x1000, rng.Below(8), rng.Below(8)};
-    // Same-args replay: the second compiled run may hit the pre memo; state
-    // and violations must still match an interpreter that never memoizes.
-    for (int rep = 0; rep < 2; ++rep) {
-      std::string got = RunShot(compiled, name, args, 3, 0, false);
-      std::string want = RunShot(interp, name, args, 3, 0, false, Engine::kOracle);
-      ASSERT_EQ(got, want) << "memo divergence on '" << text << "' rep " << rep;
-    }
+// --- revocation finality -----------------------------------------------------
+
+// No check caches an answer: a WRITE or CALL capability, or a pure-check pre
+// section, that just passed is denied on the very next check once the
+// capability is revoked, and a failing check fails again when repeated.
+TEST(RevokeFinality, PassedCheckDeniedOnNextCheckAfterRevoke) {
+  constexpr uintptr_t kObj = kObjBase + 0x9000;
+  constexpr uintptr_t kTarget = 0xffffffff81234500ull;
+  static const uint64_t kLockArgs[1] = {kObj};
+  struct Case {
+    const char* what;
+    Capability cap;
+    // Runs the check once; true when it passed.
+    std::function<bool(Rig&)> check;
+  };
+  const Case cases[] = {
+      {"write", Capability::Write(kObj, 64),
+       [](Rig& rig) { return rig.rt->OwnsWriteFast(rig.shared(), kObj + 8, 8); }},
+      {"call", Capability::Call(kTarget),
+       [](Rig& rig) { return rig.rt->OwnsCallFast(rig.shared(), kTarget); }},
+      {"pre-section", Capability::Write(kObj, 64),
+       [](Rig& rig) {
+         size_t before = rig.rt->violation_count();
+         RunShot(rig, "rf_lock", kLockArgs, 1, 0, /*kernel_to_module=*/false);
+         return rig.rt->violation_count() == before;
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Rig rig;
+    ASSERT_TRUE(
+        rig.rt->annotations().Register("rf_lock", {"lock"}, "pre(check(write, lock, 8))").ok());
+    // A kernel->module pre pass is a no-op (checks only enforce when the
+    // module side grants), even for a range the principal does not own...
+    size_t before = rig.rt->violation_count();
+    RunShot(rig, "rf_lock", kLockArgs, 1, 0, /*kernel_to_module=*/true);
+    EXPECT_EQ(rig.rt->violation_count(), before);
+    // ...and the module->kernel check that follows still runs and fails.
+    EXPECT_FALSE(c.check(rig));
+
+    rig.rt->Grant(rig.shared(), c.cap);
+    EXPECT_TRUE(c.check(rig));
+    EXPECT_TRUE(c.check(rig));
+    rig.rt->RevokeEverywhere(c.cap);
+    EXPECT_FALSE(c.check(rig)) << "passed on the first check after the revoke returned";
+    EXPECT_FALSE(c.check(rig)) << "a failing check must fail again when repeated";
   }
-}
-
-// --- memo protocol ----------------------------------------------------------
-
-TEST(GuardMemo, PureCheckPreSectionMemoizes) {
-  Rig rig;
-  constexpr uintptr_t kLock = kObjBase;
-  rig.rt->Grant(rig.shared(), Capability::Write(kLock, 64));
-  ASSERT_TRUE(
-      rig.rt->annotations().Register("memo_lock", {"lock"}, "pre(check(write, lock, 8))").ok());
-  const lxfi::AnnotationSet* set = rig.rt->annotations().Find("memo_lock");
-  ASSERT_TRUE(set->program->pre_memoizable());
-
-  uint64_t args[1] = {kLock};
-  lxfi::EnforcementContext& ec = rig.shared()->ctx();
-  EXPECT_EQ(RunShot(rig, "memo_lock", args, 1, 0, false), RunShot(rig, "memo_lock", args, 1, 0, false));
-  EXPECT_EQ(ec.pre_checks, 2u);
-  EXPECT_EQ(ec.pre_memo_hits, 1u);
-
-  // Different args miss the memo.
-  uint64_t other[1] = {kLock + 8};
-  RunShot(rig, "memo_lock", other, 1, 0, false);
-  EXPECT_EQ(ec.pre_memo_hits, 1u);
-
-  // Revocation bumps the epoch: the memo is dropped and the check fails
-  // afresh instead of replaying the stale "allowed".
-  rig.rt->RevokeEverywhere(Capability::Write(kLock, 64));
-  size_t violations_before = rig.rt->violation_count();
-  RunShot(rig, "memo_lock", args, 1, 0, false);
-  EXPECT_EQ(rig.rt->violation_count(), violations_before + 1);
-  EXPECT_EQ(ec.pre_memo_hits, 1u);
-
-  // A failing pass must not fill the memo either.
-  RunShot(rig, "memo_lock", args, 1, 0, false);
-  EXPECT_EQ(rig.rt->violation_count(), violations_before + 2);
-  EXPECT_EQ(ec.pre_memo_hits, 1u);
-}
-
-// A kernel->module pre section is a no-op (checks only enforce when the
-// module side is granting), so its "clean" pass must never seed the memo a
-// module->kernel crossing of the same program could hit.
-TEST(GuardMemo, KernelToModulePassDoesNotSeedModuleToKernelSkip) {
-  Rig rig;
-  ASSERT_TRUE(
-      rig.rt->annotations().Register("dir_fn", {"p"}, "pre(check(write, p, 8))").ok());
-  uint64_t args[1] = {kObjBase + 0x7000};  // range the principal does NOT own
-  // Kernel->module: check is a no-op, no violation.
-  size_t before = rig.rt->violation_count();
-  RunShot(rig, "dir_fn", args, 1, 0, /*kernel_to_module=*/true);
-  EXPECT_EQ(rig.rt->violation_count(), before);
-  // Module->kernel with the same program/principal/args: the real check must
-  // still run and fail.
-  before = rig.rt->violation_count();
-  RunShot(rig, "dir_fn", args, 1, 0, /*kernel_to_module=*/false);
-  EXPECT_EQ(rig.rt->violation_count(), before + 1)
-      << "memo seeded by a no-op kernel->module pass suppressed a real check";
 }
 
 // --- iterator resolution ----------------------------------------------------

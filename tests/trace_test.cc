@@ -251,8 +251,8 @@ TEST(FlightRecorder, BoundedRingKeepsExactTotalAndLastN) {
   EXPECT_EQ(v.back().fault_addr, 0x1000 + kTotal - 1);
   EXPECT_EQ(v.back().kind, lxfi::ViolationKind::kWrite);
 
-  // ClearViolations moves the visible baseline but never the sequence (the
-  // ExecGuards pre-memo protocol depends on monotonicity).
+  // ClearViolations moves the visible baseline but never the sequence
+  // (record seq numbers stay monotone for the runtime's lifetime).
   rt->ClearViolations();
   EXPECT_EQ(rt->violation_count(), 0u);
   EXPECT_TRUE(rt->violations().empty());
