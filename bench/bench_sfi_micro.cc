@@ -279,60 +279,63 @@ void RunArenaAblation(lxfibench::JsonWriter* json) {
 
 // Trace-overhead gate: the observability contract is that a compiled-in but
 // *disabled* tracepoint costs one relaxed load and a predictable branch — so
-// a crossing-representative loop body (several real store guards,
-// Runtime::CheckWrite against per-object grants, like a wrapper crossing's
-// guard traffic) with two disabled
-// TRACE_EVENTs must stay within 3% of the same body without them. Plain and
-// gated repetitions alternate and the gate decides on the median of the
-// per-pair ratios (bench/paired_timing.h), so host drift between
-// repetitions does not read as tracepoint cost. Asserted here, not just
-// reported, so CI fails the moment someone fattens the disabled path. The
-// enabled row is reported alongside for the record.
+// a thin crossing-representative loop body (four WRITE-capability probes on
+// one object, the table step of a wrapper crossing's store guards) with two
+// disabled TRACE_EVENTs must stay within 3% of the same body without them.
+// The body is kept thin on purpose: the thinner it is, the smaller the
+// tracepoint cost the 3% bound lets through. Plain and gated repetitions
+// alternate and the gate decides on the median of the per-pair ratios
+// (bench/paired_timing.h), so host drift between repetitions does not read
+// as tracepoint cost. Asserted here, not just reported, so CI fails the
+// moment someone fattens the disabled path. The enabled row is reported
+// alongside for the record.
 void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   constexpr int kObjects = 16;
   constexpr size_t kObjBytes = 256;
-  constexpr uint64_t kChecks = 1u << 16;
+  constexpr uint64_t kChecks = 1u << 18;
   constexpr int kPairs = 61;
 
-  kern::Kernel kernel;
-  lxfi::Runtime rt(&kernel, lxfi::RuntimeOptions{});
-  kern::ModuleDef def;
-  def.name = "tracemod";
-  kern::Module* mod = kernel.LoadModule(std::move(def));
-  Require(mod != nullptr, "trace-gate kernel failed to load tracemod");
-  lxfi::Principal* p = rt.CtxOf(mod)->shared();
-  // One object per 4 KiB bucket; the guard only checks, never stores.
+  lxfi::CapTable table;
   constexpr uintptr_t kBase = 0x7f4500000000ull;
-  char* objs[kObjects];
+  uintptr_t objs[kObjects];
   for (int i = 0; i < kObjects; ++i) {
-    uintptr_t addr = kBase + static_cast<uintptr_t>(i) * 4096;
-    objs[i] = reinterpret_cast<char*>(addr);
-    rt.Grant(p, lxfi::Capability::Write(addr, kObjBytes));
+    objs[i] = kBase + static_cast<uintptr_t>(i) * 4096;
+    table.GrantWrite(objs[i], kObjBytes);
   }
-  lxfi::ScopedPrincipal as_module(&rt, p);
 
   // One "crossing": a couple of header-field stores plus two payload-chunk
   // stores on the same object — the guard stream a wrapper body generates.
-  auto body = [&](uint64_t i) {
-    char* o = objs[i & (kObjects - 1)];
-    rt.CheckWrite(o + 8, 8);
-    rt.CheckWrite(o + 32, 8);
-    rt.CheckWrite(o + 64, 64);
-    rt.CheckWrite(o + 128, 64);
+  const lxfi::CapTable* t = &table;
+  const uintptr_t* obj = objs;
+  auto body = [t, obj](uint64_t i) -> uint64_t {
+    uintptr_t o = obj[i & (kObjects - 1)];
+    return static_cast<uint64_t>(t->CheckWrite(o + 8, 8)) + t->CheckWrite(o + 32, 8) +
+           t->CheckWrite(o + 64, 64) + t->CheckWrite(o + 128, 64);
   };
-  auto plain_op = [&](uint64_t i) { body(i); };
-  auto gated_op = [&](uint64_t i) {
+  auto plain_op = [body](uint64_t i) { return body(i); };
+  auto gated_op = [body](uint64_t i) {
     TRACE_EVENT(lxfi::TraceEvent::kGuardEnter, 1, i, 0);
-    body(i);
+    uint64_t allowed = body(i);
     TRACE_EVENT(lxfi::TraceEvent::kGuardExit, 1, i, 0);
+    return allowed;
   };
 
-  auto time_ns = [&](auto&& op) {
+  // The loop's own state (the op's captures, the running allowed-count)
+  // lives in locals whose address never escapes, published to `sink` once
+  // per repetition. Kept in memory reachable from outside, it would be
+  // reloaded after every tracepoint — the emit branch is a call the
+  // compiler must assume writes such memory — which is a cost of the
+  // harness, not of the disabled tracepoint this gate prices.
+  uint64_t sink = 0;
+  auto time_ns = [&sink](auto op) {
+    uint64_t allowed = 0;
     uint64_t t0 = lxfi::MonotonicNowNs();
     for (uint64_t i = 0; i < kChecks; ++i) {
-      op(i);
+      allowed += op(i);
     }
-    return static_cast<double>(lxfi::MonotonicNowNs() - t0) / kChecks;
+    uint64_t t1 = lxfi::MonotonicNowNs();
+    sink += allowed;
+    return static_cast<double>(t1 - t0) / kChecks;
   };
 
   lxfi::TraceBuffer::SetEnabled(false);
@@ -345,11 +348,12 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   lxfi::TraceBuffer::SetEnabled(true);
   std::vector<lxfi::TraceRecord> scratch;
   auto enabled_op = [&](uint64_t i) {
-    gated_op(i);
+    uint64_t allowed = gated_op(i);
     if ((i & (lxfi::TraceBuffer::kRingCapacity / 2 - 1)) == 0) {
       scratch.clear();
       lxfi::TraceBuffer::Global().Drain(&scratch);
     }
+    return allowed;
   };
   time_ns(enabled_op);  // warm
   double t_enabled = time_ns(enabled_op);
@@ -363,7 +367,8 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   std::printf("%-40s %12.2f  (%+.2f%%, median of %d paired ratios)\n",
               "2 tracepoints, disabled", gate.b_ns, overhead_pct, kPairs);
   std::printf("%-40s %12.2f\n", "2 tracepoints, enabled + drain", t_enabled);
-  std::printf("(gate: disabled <= 3%%)\n\n");
+  std::printf("(sink %llu; gate: disabled <= 3%%)\n\n",
+              static_cast<unsigned long long>(sink % 7));
   Require(gate.ratio <= 1.03,
           "disabled tracepoints must stay within 3% of the untraced crossing body");
 

@@ -7,6 +7,7 @@
 #define LXFI_UNLIKELY(x) (__builtin_expect(!!(x), 0))
 #define LXFI_ALWAYS_INLINE inline __attribute__((always_inline))
 #define LXFI_NOINLINE __attribute__((noinline))
+#define LXFI_COLD __attribute__((cold))
 
 namespace lxfi {
 

@@ -71,6 +71,10 @@ uint32_t MintPrincipalTraceId() {
   return next.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+void TraceEmit(TraceEvent event, uint32_t principal, uint64_t arg0, uint64_t arg1) {
+  TraceBuffer::Global().Emit(event, principal, arg0, arg1);
+}
+
 TraceBuffer& TraceBuffer::Global() {
   static TraceBuffer instance;
   return instance;

@@ -161,12 +161,16 @@ class TraceBuffer {
   static inline std::atomic<bool> enabled_{false};
 };
 
+// An enabled tracepoint's emit, kept out of line and cold so that a
+// disabled tracepoint inlines only the flag load and branch.
+LXFI_NOINLINE LXFI_COLD void TraceEmit(TraceEvent event, uint32_t principal, uint64_t arg0,
+                                       uint64_t arg1);
+
 // The tracepoint. Arguments are NOT evaluated when tracing is disabled.
 #define TRACE_EVENT(event, principal, arg0, arg1)                            \
   do {                                                                       \
     if (LXFI_UNLIKELY(::lxfi::TraceBuffer::EnabledRelaxed())) {              \
-      ::lxfi::TraceBuffer::Global().Emit((event), (principal), (arg0),       \
-                                         (arg1));                            \
+      ::lxfi::TraceEmit((event), (principal), (arg0), (arg1));               \
     }                                                                        \
   } while (0)
 

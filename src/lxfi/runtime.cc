@@ -537,12 +537,7 @@ void Runtime::CheckWriteBody(Principal* p, uintptr_t addr, size_t size) {
   if (OnKernelStack(addr, size)) {
     return;
   }
-  // The ownership fallback chain (span, then flat table, per principal),
-  // seqlock-validated under concurrent_enforcement.
-  bool owned = LXFI_UNLIKELY(options_.concurrent_enforcement)
-                   ? p->module()->OwnsWriteConcurrent(p, addr, size)
-                   : p->module()->OwnsWrite(p, addr, size);
-  if (LXFI_LIKELY(owned)) {
+  if (LXFI_LIKELY(TablesOwnWrite(p, addr, size))) {
     return;
   }
   RaiseViolation(ViolationKind::kWrite,
@@ -558,9 +553,7 @@ bool Runtime::OwnsWriteFast(Principal* p, uintptr_t addr, size_t size) {
     return !p->arena_sealed();
   }
   ++p->ctx().write_checks;
-  return LXFI_UNLIKELY(options_.concurrent_enforcement)
-             ? p->module()->OwnsWriteConcurrent(p, addr, size)
-             : p->module()->OwnsWrite(p, addr, size);
+  return TablesOwnWrite(p, addr, size);
 }
 
 bool Runtime::OwnsCallFast(Principal* p, uintptr_t target) {
