@@ -92,12 +92,14 @@ void BM_CapTableFlatCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_CapTableFlatCheck);
 
-// The SMP read path on one core: identical table, probed through the
-// seqlock-validated lock-free entry point every store guard uses when
-// concurrent_enforcement is on. Delta vs BM_CapTableFlatCheck = the
-// single-core price of multi-core safety (satellite ablation).
+// The SMP read path on one core: identical table with the grace-period
+// reclaimer attached, so the same CheckWrite runs its seqlock-validated
+// body — what every store guard pays when concurrent_enforcement is on.
+// Delta vs BM_CapTableFlatCheck = the single-core price of multi-core
+// safety.
 void BM_CapTableSeqlockCheck(benchmark::State& state) {
   lxfi::CapTable table;
+  table.SetReclaimer(&lxfi::EpochReclaimer::Global());
   for (int i = 0; i < kObjects; ++i) {
     table.GrantWrite(ObjectAddr(i), ObjectSize(i));
   }
@@ -106,7 +108,7 @@ void BM_CapTableSeqlockCheck(benchmark::State& state) {
   for (auto _ : state) {
     bool hit = false;
     for (size_t k = 0; k < kBatch; ++k) {
-      hit |= table.CheckWriteConcurrent(queries[q + k], 8);
+      hit |= table.CheckWrite(queries[q + k], 8);
     }
     benchmark::DoNotOptimize(hit);
     q = (q + kBatch) & (queries.size() - 1);
@@ -182,9 +184,11 @@ void BM_CallSetFlatCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_CallSetFlatCheck);
 
-// Seqlock-validated CALL probe (the SMP indirect-call slow path) on one core.
+// Seqlock-validated CALL probe (the SMP indirect-call slow path) on one
+// core: CheckCall on a table with the reclaimer attached.
 void BM_CallSetSeqlockCheck(benchmark::State& state) {
   lxfi::CapTable table;
+  table.SetReclaimer(&lxfi::EpochReclaimer::Global());
   for (int i = 0; i < kObjects; ++i) {
     table.GrantCall(0xffffffff81000000ull + static_cast<uintptr_t>(i) * 64);
   }
@@ -193,7 +197,7 @@ void BM_CallSetSeqlockCheck(benchmark::State& state) {
   for (auto _ : state) {
     bool hit = false;
     for (size_t k = 0; k < kBatch; ++k) {
-      hit |= table.CheckCallConcurrent(targets[q + k]);
+      hit |= table.CheckCall(targets[q + k]);
     }
     benchmark::DoNotOptimize(hit);
     q = (q + kBatch) & (targets.size() - 1);

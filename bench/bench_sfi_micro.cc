@@ -46,13 +46,20 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   constexpr size_t kPayload = 2048;
   constexpr uint64_t kChecks = 4u << 20;
 
+  // `seq` and `seq_instance` hold the same grants as `flat` and
+  // `flat_instance` with the grace-period reclaimer attached, so their
+  // CheckWrite runs the seqlock-validated body.
   lxfi::CapTable flat;
+  lxfi::CapTable seq;
+  seq.SetReclaimer(&lxfi::EpochReclaimer::Global());
   bench::StdCapTable node;
   auto header_addr = [&](int i) { return kBase + static_cast<uintptr_t>(i) * 8192; };
   auto payload_addr = [&](int i) { return header_addr(i) + 4096; };
   for (int i = 0; i < kRing; ++i) {
     flat.GrantWrite(header_addr(i), kHeader);
     flat.GrantWrite(payload_addr(i), kPayload);
+    seq.GrantWrite(header_addr(i), kHeader);
+    seq.GrantWrite(payload_addr(i), kPayload);
     node.GrantWrite(header_addr(i), kHeader);
     node.GrantWrite(payload_addr(i), kPayload);
   }
@@ -62,11 +69,14 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   // instance → shared fallback chain with a real miss probe first,
   // exactly like ModuleCtx::OwnsWrite on the real store-guard path.
   lxfi::CapTable flat_instance;
+  lxfi::CapTable seq_instance;
+  seq_instance.SetReclaimer(&lxfi::EpochReclaimer::Global());
   bench::StdCapTable node_instance;
   constexpr uintptr_t kPrivBase = 0x7f4300000000ull;
   for (int i = 0; i < kRing; ++i) {
     uintptr_t priv = kPrivBase + static_cast<uintptr_t>(i) * 4096;
     flat_instance.GrantWrite(priv, 512);
+    seq_instance.GrantWrite(priv, 512);
     node_instance.GrantWrite(priv, 512);
   }
 
@@ -107,13 +117,12 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   auto flat_check = [&](const Query& q) {
     return flat_instance.CheckWrite(q.addr, q.size) || flat.CheckWrite(q.addr, q.size);
   };
-  // The SMP read path on one core: same tables, probed through the
-  // seqlock-validated concurrent entry points (what every store guard pays
-  // when concurrent_enforcement is on). The delta vs the plain flat row is
-  // the single-core cost of SMP-safety.
+  // The SMP read path on one core: same grants, reclaimer attached, so the
+  // probe runs its seqlock-validated body (what every store guard pays when
+  // concurrent_enforcement is on). The delta vs the plain flat row is the
+  // single-core cost of SMP-safety.
   auto seq_check = [&](const Query& q) {
-    return flat_instance.CheckWriteConcurrent(q.addr, q.size) ||
-           flat.CheckWriteConcurrent(q.addr, q.size);
+    return seq_instance.CheckWrite(q.addr, q.size) || seq.CheckWrite(q.addr, q.size);
   };
   // Warm, then measure.
   time_ns(std_check);

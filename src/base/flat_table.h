@@ -1,6 +1,8 @@
 // Open-addressing hash containers for the enforcement hot path.
 //
-// FlatTable maps uint64_t keys to values; FlatSet is the value-less variant.
+// FlatTable maps uint64_t keys to values; FlatSet is its value-less
+// instantiation (same key array, probes, erase and rehash; no value array).
+// FlatRangeMap is the interleaved key+range multimap behind WRITE checks.
 // Layout and policy are chosen for the reference monitor's access pattern —
 // a successful lookup on every module store and kernel indirect call:
 //
@@ -31,17 +33,23 @@
 //     keeping the probe loop's cache footprint at one word per slot.
 //
 // SMP read-mostly mode (the seqlock read path): geometry and slot storage
-// live in one heap-allocated Rep published through an atomic pointer, so a
-// lock-free reader always sees a self-consistent {array, mask, shift}
-// triple even while a writer rehashes. The *Concurrent probes validate a
-// SeqCount around relaxed-atomic slot loads and retry if a writer
-// intervened; writers (serialized externally, e.g. by the per-principal
-// Spinlock) bump the SeqCount around every mutation and — when a reclaimer
-// is attached via SetReclaimer — retire replaced Reps through the
-// quiescent-state EpochReclaimer instead of freeing them, so a reader still
+// live in one heap-allocated Rep published through an atomic pointer
+// (flat_internal::RepCell, shared by both table kinds), so a lock-free
+// reader always sees a self-consistent {array, mask, shift} triple even
+// while a writer rehashes. Writers (serialized externally, e.g. by the
+// per-principal Spinlock) bump a SeqCount around every mutation. Each
+// container has one probe name per query — FlatTable::Contains,
+// FlatSet::Contains, FlatRangeMap::FindContaining / AnyOverlap — and the
+// container picks the body: once a reclaimer is attached via SetReclaimer,
+// the probe runs a seqlock-validated pass over relaxed-atomic slot loads
+// (retried if a writer intervened) and replaced Reps are retired through
+// the quiescent-state EpochReclaimer instead of freed, so a reader still
 // probing a superseded array never touches freed memory. Without a
-// reclaimer (the default, single-threaded configuration) nothing changes:
-// plain probes, immediate frees, no atomics on the hot loop.
+// reclaimer (the default, single-threaded configuration) the probe is the
+// plain windowed loop and frees are immediate. FindValueConcurrent is the
+// always-validated value lookup for kernel structures read lock-free while
+// their writers hold a lock; Find is the writer-side (or single-threaded)
+// lookup.
 //
 // Keys are restricted to uint64_t because every enforcement key already is
 // one (bucket index, page number, text address, interned REF hash).
@@ -76,96 +84,199 @@ inline constexpr bool NeedsGrow(size_t size_after_insert, size_t capacity) {
 
 // Relaxed-atomic slot accessors. On the write side every slot store goes
 // through RelaxedStore so concurrent seqlock readers race only with atomics
-// (TSan-clean); RelaxedLoad is used by the concurrent probes. Both compile
+// (TSan-clean); RelaxedLoad is used by the validated probes. Both compile
 // to plain moves on x86/arm64, so the single-threaded paths cost nothing.
 inline uint64_t RelaxedLoad(const uint64_t* p) { return __atomic_load_n(p, __ATOMIC_RELAXED); }
 inline void RelaxedStore(uint64_t* p, uint64_t v) { __atomic_store_n(p, v, __ATOMIC_RELAXED); }
 
-template <typename Rep>
-inline const Rep* AcquireRep(Rep* const* slot) {
-  return __atomic_load_n(slot, __ATOMIC_ACQUIRE);
+// The value type of the value-less instantiation (FlatSet).
+struct NoValue {};
+
+// Geometry of one capacity generation: power-of-two slot count and the
+// Fibonacci-hash shift. Immutable once the Rep is published.
+struct Geometry {
+  size_t cap;
+  size_t mask;
+  unsigned shift;
+
+  size_t IndexOf(uint64_t key) const { return static_cast<size_t>((key * kGolden) >> shift); }
+  size_t Next(size_t i) const { return (i + 1) & mask; }
+};
+
+// Allocates a Rep (a Geometry-derived header) followed inline by
+// capacity + `mirror` value-initialized Slots: one load resolves geometry
+// and array base together, matching the probe depth of a member array.
+template <typename Rep, typename Slot>
+Rep* MakeRep(size_t capacity, size_t mirror) {
+  size_t nslots = capacity + mirror;
+  void* mem = ::operator new(sizeof(Rep) + nslots * sizeof(Slot));
+  Rep* rep = new (mem) Rep();
+  rep->cap = capacity;
+  rep->mask = capacity - 1;
+  rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+  Slot* slots = reinterpret_cast<Slot*>(rep + 1);
+  for (size_t i = 0; i < nslots; ++i) {
+    new (slots + i) Slot{};
+  }
+  return rep;
 }
 
-template <typename Rep>
-inline void PublishRep(Rep** slot, Rep* rep) {
-  __atomic_store_n(slot, rep, __ATOMIC_RELEASE);
+// Backward-shift deletion for linear probing: the entry at `hole` is being
+// removed; each later entry of the probe run moves back into the hole
+// unless that would place it before its home slot. Returns the slot left
+// empty, which the caller clears.
+template <typename KeyAt, typename Move>
+size_t BackwardShift(const Geometry& g, size_t hole, KeyAt&& key_at, Move&& move) {
+  for (size_t i = g.Next(hole); key_at(i) != 0; i = g.Next(i)) {
+    if (((i - g.IndexOf(key_at(i))) & g.mask) >= ((i - hole) & g.mask)) {
+      move(hole, i);
+      hole = i;
+    }
+  }
+  return hole;
 }
+
+// The published-Rep lifecycle both table kinds share: the current
+// generation behind an atomic pointer, the SeqCount writers bump around
+// every mutation, and the optional reclaimer that decides both how a
+// replaced Rep dies (retired vs freed) and which body the probes run.
+template <typename Rep>
+class RepCell {
+ public:
+  RepCell() = default;
+  ~RepCell() { Dispose(rep_); }
+
+  RepCell(const RepCell&) = delete;
+  RepCell& operator=(const RepCell&) = delete;
+
+  // Writer-side (or single-threaded) view of the current generation.
+  Rep* get() const { return rep_; }
+  // The generation the plain probe body may walk: null while nothing is
+  // published and always once a reclaimer is attached, so one load and one
+  // branch send a probe to its plain body, to the validated one, or out.
+  const Rep* plain() const { return plain_; }
+
+  // Set once, before any concurrent reader exists.
+  void SetReclaimer(EpochReclaimer* reclaimer) {
+    reclaimer_ = reclaimer;
+    plain_ = reclaimer == nullptr ? rep_ : nullptr;
+  }
+  // True once a reclaimer is attached: probes then take the validated body.
+  bool validated() const { return reclaimer_ != nullptr; }
+
+  // Runs `mutate` inside one seqlock write section.
+  template <typename Fn>
+  void Write(Fn&& mutate) {
+    seq_.WriteBegin();
+    mutate();
+    seq_.WriteEnd();
+  }
+
+  // Publishes `fresh` (null empties the table) inside a write section,
+  // then retires or frees the generation it replaced.
+  void Replace(Rep* fresh) {
+    Rep* old = rep_;
+    Write([&] { __atomic_store_n(&rep_, fresh, __ATOMIC_RELEASE); });
+    if (reclaimer_ == nullptr) {
+      plain_ = fresh;
+    }
+    Dispose(old);
+  }
+
+  // Seqlock read: `probe(rep)` returns 1 (hit), 0 (miss) or -1 (overran a
+  // torn table) and is retried until a pass validates; an unpublished Rep
+  // is a miss. `retries`, when non-null, counts failed validations.
+  template <typename Probe>
+  bool ReadValidated(Probe&& probe, RelaxedCell* retries = nullptr) const {
+    while (true) {
+      uint64_t s = seq_.ReadBegin();
+      const Rep* rep = __atomic_load_n(&rep_, __ATOMIC_ACQUIRE);
+      int found = rep == nullptr ? 0 : probe(rep);
+      if (found >= 0 && seq_.ReadValidate(s)) {
+        return found == 1;
+      }
+      if (retries != nullptr) {
+        ++*retries;
+      }
+      CpuRelax();
+    }
+  }
+
+ private:
+  void Dispose(Rep* rep) {
+    if (rep == nullptr) {
+      return;
+    }
+    auto destroy = [rep] {
+      rep->~Rep();
+      ::operator delete(rep);
+    };
+    if (reclaimer_ != nullptr) {
+      reclaimer_->Retire(destroy);
+    } else {
+      destroy();
+    }
+  }
+
+  Rep* rep_ = nullptr;
+  Rep* plain_ = nullptr;
+  SeqCount seq_;
+  EpochReclaimer* reclaimer_ = nullptr;
+};
 
 }  // namespace flat_internal
 
 template <typename V>
 class FlatTable {
-  // Slot storage (geometry + arrays) for one capacity generation. Geometry
-  // is immutable after construction; only slot contents mutate in place.
-  // The key array lives inline after the header (one load resolves rep and
-  // the array base together), so probe depth matches a direct member array;
-  // the value array is only touched after a key hit and may stay a vector.
-  struct Rep {
-    size_t cap;
-    size_t mask;
-    unsigned shift;
-    std::vector<V> vals;  // cap slots
+  // The value-less instantiation (FlatSet) allocates no value array.
+  static constexpr bool kHasValues = !std::is_empty_v<V>;
+  // Word-sized trivially copyable values are the kind FindValueConcurrent
+  // loads lock-free, so their stores are relaxed atomics.
+  static constexpr bool kWordValue =
+      std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t);
+
+  // Header + inline key array (cap + kWindow-1 mirror slots; 0 = empty).
+  // The value array is only touched after a key hit and may stay a vector.
+  struct Rep : flat_internal::Geometry {
+    std::vector<V> vals;  // cap slots; empty for the value-less set
 
     uint64_t* keys() { return reinterpret_cast<uint64_t*>(this + 1); }
     const uint64_t* keys() const { return reinterpret_cast<const uint64_t*>(this + 1); }
-
-    static Rep* Make(size_t capacity) {
-      size_t nkeys = capacity + flat_internal::kWindow - 1;
-      void* mem = ::operator new(sizeof(Rep) + nkeys * sizeof(uint64_t));
-      Rep* rep = new (mem) Rep();
-      rep->cap = capacity;
-      rep->mask = capacity - 1;
-      rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
-      rep->vals.resize(capacity);
-      for (size_t i = 0; i < nkeys; ++i) {
-        rep->keys()[i] = 0;
-      }
-      return rep;
-    }
-    static void Destroy(Rep* rep) {
-      rep->~Rep();
-      ::operator delete(rep);
-    }
   };
 
  public:
   FlatTable() = default;
-  ~FlatTable() { DisposeRep(rep_); }
 
   FlatTable(const FlatTable&) = delete;
   FlatTable& operator=(const FlatTable&) = delete;
 
   size_t size() const { return size_ + (HasZero() ? 1 : 0); }
   bool empty() const { return size() == 0; }
-  size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
+  size_t capacity() const { return cell_.get() == nullptr ? 0 : cell_.get()->cap; }
 
   // Attaches the grace-period reclaimer: replaced slot arrays are retired
-  // instead of freed, which is what makes the *Concurrent probes safe
-  // against rehash. Set once, before any concurrent reader exists.
-  void SetReclaimer(EpochReclaimer* reclaimer) { reclaimer_ = reclaimer; }
+  // instead of freed, and Contains switches to its seqlock-validated body.
+  // Set once, before any concurrent reader exists.
+  void SetReclaimer(EpochReclaimer* reclaimer) { cell_.SetReclaimer(reclaimer); }
 
   void Clear() {
-    seq_.WriteBegin();
-    Rep* old = rep_;
-    flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
     size_ = 0;
     SetHasZero(false);
-    zero_val_ = V{};
-    seq_.WriteEnd();
-    DisposeRep(old);
+    StoreVal(&zero_val_, V{});
+    cell_.Replace(nullptr);
   }
 
   V* Find(uint64_t key) {
     if (LXFI_UNLIKELY(key == 0)) {
       return HasZero() ? &zero_val_ : nullptr;
     }
-    if (size_ == 0) {
+    Rep* rep = cell_.get();
+    if (rep == nullptr) {
       return nullptr;
     }
-    Rep* rep = rep_;
     const uint64_t* keys = rep->keys();
     const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
+    size_t i = rep->IndexOf(key);
     while (true) {
       const uint64_t* w = keys + i;
       uint64_t c0 = w[0], c1 = w[1], c2 = w[2], c3 = w[3];
@@ -184,90 +295,72 @@ class FlatTable {
 
   const V* Find(uint64_t key) const { return const_cast<FlatTable*>(this)->Find(key); }
 
-  bool Contains(uint64_t key) const { return Find(key) != nullptr; }
-
-  // Lock-free key-presence probe for concurrent readers (seqlock protocol;
-  // see file comment). Requires a reclaimer to be attached if writers can
-  // rehash concurrently.
-  bool ContainsConcurrent(uint64_t key) const {
+  // Key presence: the plain windowed probe, or — once a reclaimer is
+  // attached — the seqlock-validated one, safe against a concurrent writer.
+  bool Contains(uint64_t key) const {
     if (LXFI_UNLIKELY(key == 0)) {
-      return __atomic_load_n(&has_zero_, __ATOMIC_RELAXED);
+      return HasZero();
     }
+    const Rep* rep = cell_.plain();
+    if (LXFI_UNLIKELY(rep == nullptr)) {
+      return cell_.validated() &&
+             cell_.ReadValidated([key](const Rep* r) { return ProbeKeyValidated(r, key); });
+    }
+    const uint64_t* keys = rep->keys();
+    const size_t mask = rep->mask;
+    size_t i = rep->IndexOf(key);
     while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
+      const uint64_t* w = keys + i;
+      uint64_t c0 = w[0], c1 = w[1], c2 = w[2], c3 = w[3];
+      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
+        return true;
       }
-      int found = ProbeKeyConcurrent(rep, key);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
+      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
+        return false;
       }
-      CpuRelax();
+      i = (i + flat_internal::kWindow) & mask;
     }
   }
 
   // Lock-free lookup of a pointer-sized trivially copyable value (e.g. the
-  // instance-principal map, the dcache per-parent child index). Returns
-  // false when absent. `retries`, when non-null, counts seqlock validation
-  // failures (reads that overlapped a writer and looped) — the dcache storm
-  // test uses it to prove the retry path is actually exercised.
+  // instance-principal map, the dcache per-parent child index), always
+  // seqlock-validated. Returns false when absent. `retries`, when non-null,
+  // counts seqlock validation failures (reads that overlapped a writer and
+  // looped) — the dcache storm test uses it to prove the retry path is
+  // actually exercised.
   bool FindValueConcurrent(uint64_t key, V* out, RelaxedCell* retries = nullptr) const {
-    static_assert(std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t),
-                  "concurrent value loads require word-sized trivially copyable values");
+    static_assert(kWordValue, "concurrent value loads require word-sized trivially copyable values");
+    uint64_t raw = 0;
     if (LXFI_UNLIKELY(key == 0)) {
-      if (!__atomic_load_n(&has_zero_, __ATOMIC_RELAXED)) {
+      if (!HasZero()) {
         return false;
       }
-      uint64_t raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(&zero_val_));
+      raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(&zero_val_));
       __builtin_memcpy(out, &raw, sizeof(V));
       return true;
     }
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        if (retries != nullptr) {
-          ++*retries;
-        }
-        continue;
-      }
-      const uint64_t* keys = rep->keys();
-      const size_t mask = rep->mask;
-      size_t i = IndexOf(rep, key);
-      uint64_t raw = 0;
-      int found = -1;
-      for (size_t steps = 0; steps <= rep->cap; ++steps) {
-        uint64_t k = flat_internal::RelaxedLoad(keys + i);
-        if (k == key) {
-          raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(&rep->vals[i]));
-          found = 1;
-          break;
-        }
-        if (k == 0) {
-          found = 0;
-          break;
-        }
-        i = (i + 1) & mask;
-      }
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        if (found == 1) {
-          __builtin_memcpy(out, &raw, sizeof(V));
-          return true;
-        }
-        return false;
-      }
-      if (retries != nullptr) {
-        ++*retries;
-      }
-      CpuRelax();
+    bool found = cell_.ReadValidated(
+        [key, &raw](const Rep* rep) {
+          const uint64_t* keys = rep->keys();
+          size_t i = rep->IndexOf(key);
+          for (size_t steps = 0; steps <= rep->cap; ++steps) {
+            uint64_t k = flat_internal::RelaxedLoad(keys + i);
+            if (k == key) {
+              raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(&rep->vals[i]));
+              return 1;
+            }
+            if (k == 0) {
+              return 0;
+            }
+            i = rep->Next(i);
+          }
+          return -1;
+        },
+        retries);
+    if (found) {
+      __builtin_memcpy(out, &raw, sizeof(V));
     }
+    return found;
   }
 
   // Returns the value for `key`, inserting a default-constructed one first
@@ -277,29 +370,13 @@ class FlatTable {
       SetHasZero(true);
       return zero_val_;
     }
-    // Probe for an existing entry before considering growth, so a duplicate
-    // insert at the load threshold stays a pure lookup.
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->keys()[i] != 0) {
-        if (rep_->keys()[i] == key) {
-          return rep_->vals[i];
-        }
-        i = (i + 1) & rep_->mask;
-      }
+    size_t i = FindSlot(key);
+    if (i == kNoSlot) {
+      i = ClaimSlot(key);
+      cell_.Write([&] { StoreKey(cell_.get(), i, key); });
+      ++size_;
     }
-    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
-    }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->keys()[i] != 0) {
-      i = (i + 1) & rep_->mask;
-    }
-    seq_.WriteBegin();
-    StoreKey(rep_, i, key);
-    seq_.WriteEnd();
-    ++size_;
-    return rep_->vals[i];
+    return cell_.get()->vals[i];
   }
 
   // Inserts or overwrites; returns true if the key was newly inserted.
@@ -309,37 +386,31 @@ class FlatTable {
   bool Insert(uint64_t key, V value) {
     if (key == 0) {
       bool added = !HasZero();
-      seq_.WriteBegin();
-      StoreVal(&zero_val_, std::move(value));
-      SetHasZero(true);
-      seq_.WriteEnd();
+      cell_.Write([&] {
+        StoreVal(&zero_val_, std::move(value));
+        SetHasZero(true);
+      });
       return added;
     }
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->keys()[i] != 0) {
-        if (rep_->keys()[i] == key) {
-          seq_.WriteBegin();
-          StoreVal(&rep_->vals[i], std::move(value));
-          seq_.WriteEnd();
-          return false;
-        }
-        i = (i + 1) & rep_->mask;
+    size_t i = FindSlot(key);
+    const bool added = i == kNoSlot;
+    if (!added && !kHasValues) {
+      return false;  // a set's duplicate insert is a pure lookup
+    }
+    if (added) {
+      i = ClaimSlot(key);
+    }
+    Rep* rep = cell_.get();
+    cell_.Write([&] {
+      if constexpr (kHasValues) {
+        StoreVal(&rep->vals[i], std::move(value));
       }
-    }
-    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
-    }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->keys()[i] != 0) {
-      i = (i + 1) & rep_->mask;
-    }
-    seq_.WriteBegin();
-    StoreVal(&rep_->vals[i], std::move(value));
-    StoreKey(rep_, i, key);
-    seq_.WriteEnd();
-    ++size_;
-    return true;
+      if (added) {
+        StoreKey(rep, i, key);
+      }
+    });
+    size_ += added;
+    return added;
   }
 
   // Backward-shift erase: removes `key` and re-packs the probe window so no
@@ -349,64 +420,33 @@ class FlatTable {
       if (!HasZero()) {
         return false;
       }
-      seq_.WriteBegin();
-      SetHasZero(false);
-      zero_val_ = V{};
-      seq_.WriteEnd();
+      cell_.Write([&] {
+        SetHasZero(false);
+        StoreVal(&zero_val_, V{});
+      });
       return true;
     }
-    if (size_ == 0) {
+    size_t i = FindSlot(key);
+    if (i == kNoSlot) {
       return false;
     }
-    Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      if (rep->keys()[i] == key) {
-        break;
+    Rep* rep = cell_.get();
+    cell_.Write([&] {
+      size_t hole = flat_internal::BackwardShift(
+          *rep, i, [rep](size_t j) { return rep->keys()[j]; },
+          [rep](size_t dst, size_t src) {
+            StoreKey(rep, dst, rep->keys()[src]);
+            if constexpr (kHasValues) {
+              MoveVal(&rep->vals[dst], &rep->vals[src]);
+            }
+          });
+      StoreKey(rep, hole, 0);
+      if constexpr (kHasValues) {
+        StoreVal(&rep->vals[hole], V{});
       }
-      if (rep->keys()[i] == 0) {
-        return false;
-      }
-      i = (i + 1) & rep->mask;
-    }
-    seq_.WriteBegin();
-    size_t hole = i;
-    while (true) {
-      i = (i + 1) & rep->mask;
-      if (rep->keys()[i] == 0) {
-        break;
-      }
-      // The entry at i may move into the hole iff doing so does not place it
-      // before its ideal slot in probe order.
-      size_t ideal = IndexOf(rep, rep->keys()[i]);
-      if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
-        StoreKey(rep, hole, rep->keys()[i]);
-        MoveVal(&rep->vals[hole], &rep->vals[i]);
-        hole = i;
-      }
-    }
-    StoreKey(rep, hole, 0);
-    StoreVal(&rep->vals[hole], V{});
-    seq_.WriteEnd();
+    });
     --size_;
     return true;
-  }
-
-  // Visits every (key, value); order is unspecified. `fn` must not mutate
-  // the table.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (HasZero()) {
-      fn(uint64_t{0}, zero_val_);
-    }
-    if (rep_ == nullptr) {
-      return;
-    }
-    for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->keys()[i] != 0) {
-        fn(rep_->keys()[i], rep_->vals[i]);
-      }
-    }
   }
 
   // Visits every (key, value&); `fn` may mutate values but not insert/erase.
@@ -415,14 +455,23 @@ class FlatTable {
     if (HasZero()) {
       fn(uint64_t{0}, zero_val_);
     }
-    if (rep_ == nullptr) {
+    Rep* rep = cell_.get();
+    if (rep == nullptr) {
       return;
     }
-    for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->keys()[i] != 0) {
-        fn(rep_->keys()[i], rep_->vals[i]);
+    for (size_t i = 0; i < rep->cap; ++i) {
+      if (rep->keys()[i] != 0) {
+        fn(rep->keys()[i], rep->vals[i]);
       }
     }
+  }
+
+  // Visits every (key, value); order is unspecified. `fn` must not mutate
+  // the table.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const_cast<FlatTable*>(this)->ForEachMut(
+        [&fn](uint64_t key, V& value) { fn(key, static_cast<const V&>(value)); });
   }
 
   // Erases every entry for which `pred(key, value)` is true; returns the
@@ -443,12 +492,46 @@ class FlatTable {
   }
 
  private:
-  static size_t IndexOf(const Rep* rep, uint64_t key) {
-    return static_cast<size_t>((key * flat_internal::kGolden) >> rep->shift);
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  bool HasZero() const { return __atomic_load_n(&has_zero_, __ATOMIC_RELAXED); }
+  void SetHasZero(bool v) { __atomic_store_n(&has_zero_, v, __ATOMIC_RELAXED); }
+
+  static Rep* MakeRep(size_t capacity) {
+    Rep* rep = flat_internal::MakeRep<Rep, uint64_t>(capacity, flat_internal::kWindow - 1);
+    if constexpr (kHasValues) {
+      rep->vals.resize(capacity);
+    }
+    return rep;
   }
 
-  bool HasZero() const { return has_zero_; }
-  void SetHasZero(bool v) { __atomic_store_n(&has_zero_, v, __ATOMIC_RELAXED); }
+  // Slot holding `key`, or kNoSlot (writer side: plain loads).
+  size_t FindSlot(uint64_t key) const {
+    const Rep* rep = cell_.get();
+    if (rep == nullptr) {
+      return kNoSlot;
+    }
+    for (size_t i = rep->IndexOf(key); rep->keys()[i] != 0; i = rep->Next(i)) {
+      if (rep->keys()[i] == key) {
+        return i;
+      }
+    }
+    return kNoSlot;
+  }
+
+  // Grows first if one more key would pass the load bound, then returns
+  // the empty slot `key` goes into (not yet stored).
+  size_t ClaimSlot(uint64_t key) {
+    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
+      Rehash(capacity() == 0 ? flat_internal::kMinCapacity : capacity() * 2);
+    }
+    const Rep* rep = cell_.get();
+    size_t i = rep->IndexOf(key);
+    while (rep->keys()[i] != 0) {
+      i = rep->Next(i);
+    }
+    return i;
+  }
 
   // All key writes go through here to keep the mirrored tail coherent.
   static void StoreKey(Rep* rep, size_t i, uint64_t v) {
@@ -461,7 +544,7 @@ class FlatTable {
   // Value stores: atomic for word-sized trivially copyable values (the kinds
   // FindValueConcurrent may race with), plain otherwise.
   static void StoreVal(V* dst, V v) {
-    if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t)) {
+    if constexpr (kWordValue) {
       uint64_t raw;
       __builtin_memcpy(&raw, &v, sizeof(V));
       flat_internal::RelaxedStore(reinterpret_cast<uint64_t*>(dst), raw);
@@ -471,19 +554,20 @@ class FlatTable {
   }
 
   static void MoveVal(V* dst, V* src) {
-    if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t)) {
+    if constexpr (kWordValue) {
       StoreVal(dst, *src);
     } else {
       *dst = std::move(*src);
     }
   }
 
-  // Keys-only concurrent window probe: 1 found, 0 absent, -1 overran the
-  // table (torn state; caller revalidates and retries).
-  static int ProbeKeyConcurrent(const Rep* rep, uint64_t key) {
+  // The validated body's key walk: the same 4-slot windows over relaxed
+  // loads, bounded so a torn table cannot loop forever. 1 found, 0 absent,
+  // -1 overran (the caller revalidates and retries).
+  static int ProbeKeyValidated(const Rep* rep, uint64_t key) {
     const uint64_t* keys = rep->keys();
     const size_t mask = rep->mask;
-    size_t i = (key * flat_internal::kGolden) >> rep->shift;
+    size_t i = rep->IndexOf(key);
     for (size_t steps = 0; steps <= rep->cap; steps += flat_internal::kWindow) {
       uint64_t c0 = flat_internal::RelaxedLoad(keys + i);
       uint64_t c1 = flat_internal::RelaxedLoad(keys + i + 1);
@@ -501,45 +585,50 @@ class FlatTable {
   }
 
   void Rehash(size_t new_cap) {
-    Rep* old = rep_;
-    Rep* fresh = Rep::Make(new_cap);
-    size_ = 0;
+    Rep* old = cell_.get();
+    Rep* fresh = MakeRep(new_cap);
     if (old != nullptr) {
       for (size_t i = 0; i < old->cap; ++i) {
-        if (old->keys()[i] != 0) {
-          size_t j = IndexOf(fresh, old->keys()[i]);
-          while (fresh->keys()[j] != 0) {
-            j = (j + 1) & fresh->mask;
-          }
-          StoreKey(fresh, j, old->keys()[i]);
+        uint64_t key = old->keys()[i];
+        if (key == 0) {
+          continue;
+        }
+        size_t j = fresh->IndexOf(key);
+        while (fresh->keys()[j] != 0) {
+          j = fresh->Next(j);
+        }
+        StoreKey(fresh, j, key);
+        if constexpr (kHasValues) {
           fresh->vals[j] = std::move(old->vals[i]);
-          ++size_;
         }
       }
     }
-    seq_.WriteBegin();
-    flat_internal::PublishRep(&rep_, fresh);
-    seq_.WriteEnd();
-    DisposeRep(old);
+    cell_.Replace(fresh);
   }
 
-  void DisposeRep(Rep* rep) {
-    if (rep == nullptr) {
-      return;
-    }
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([rep] { Rep::Destroy(rep); });
-    } else {
-      Rep::Destroy(rep);
-    }
-  }
-
-  Rep* rep_ = nullptr;
+  flat_internal::RepCell<Rep> cell_;
   size_t size_ = 0;  // non-zero-key entries
   bool has_zero_ = false;
   V zero_val_{};
-  SeqCount seq_;
-  EpochReclaimer* reclaimer_ = nullptr;
+};
+
+// Value-less FlatTable: the CALL and REF capability sets and the
+// per-principal writer-page records. Every probe, the erase and the rehash
+// are FlatTable's; only the value-less Insert is spelled here.
+class FlatSet : private FlatTable<flat_internal::NoValue> {
+  using Base = FlatTable<flat_internal::NoValue>;
+
+ public:
+  using Base::capacity;
+  using Base::Clear;
+  using Base::Contains;
+  using Base::empty;
+  using Base::Erase;
+  using Base::SetReclaimer;
+  using Base::size;
+
+  // Returns true if the key was newly inserted.
+  bool Insert(uint64_t key) { return Base::Insert(key, {}); }
 };
 
 // Same-hash collision chains over FlatTable<T*> values (the dcache child
@@ -619,66 +708,47 @@ class FlatRangeMap {
     uintptr_t hi;
   };
 
-  // Header + inline slot array (cap slots + 1 mirror slot): one load
-  // resolves geometry and array base together, matching the probe depth of
-  // a direct member array.
-  struct Rep {
-    size_t cap;
-    size_t mask;
-    unsigned shift;
-
+  // Header + inline slot array (cap slots + 1 mirror slot).
+  struct Rep : flat_internal::Geometry {
     Slot* slots() { return reinterpret_cast<Slot*>(this + 1); }
     const Slot* slots() const { return reinterpret_cast<const Slot*>(this + 1); }
-
-    static Rep* Make(size_t capacity) {
-      size_t nslots = capacity + 1;
-      void* mem = ::operator new(sizeof(Rep) + nslots * sizeof(Slot));
-      Rep* rep = new (mem) Rep();
-      rep->cap = capacity;
-      rep->mask = capacity - 1;
-      rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
-      for (size_t i = 0; i < nslots; ++i) {
-        rep->slots()[i] = Slot{0, 0, 0};
-      }
-      return rep;
-    }
-    static void Destroy(Rep* rep) {
-      rep->~Rep();
-      ::operator delete(rep);
-    }
   };
 
  public:
   FlatRangeMap() = default;
-  ~FlatRangeMap() { DisposeRep(rep_); }
 
   FlatRangeMap(const FlatRangeMap&) = delete;
   FlatRangeMap& operator=(const FlatRangeMap&) = delete;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
+  size_t capacity() const { return cell_.get() == nullptr ? 0 : cell_.get()->cap; }
 
-  void SetReclaimer(EpochReclaimer* reclaimer) { reclaimer_ = reclaimer; }
+  // See FlatTable::SetReclaimer: retires replaced Reps and switches both
+  // probes to their seqlock-validated body.
+  void SetReclaimer(EpochReclaimer* reclaimer) { cell_.SetReclaimer(reclaimer); }
 
   void Clear() {
-    seq_.WriteBegin();
-    Rep* old = rep_;
-    flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
     size_ = 0;
-    seq_.WriteEnd();
-    DisposeRep(old);
+    cell_.Replace(nullptr);
   }
 
-  // True iff some range stored under `key` fully contains [addr, end).
+  // True iff some range stored under `key` fully contains [addr, end): the
+  // plain 2-slot-window probe, or the seqlock-validated walk once a
+  // reclaimer is attached (the SMP store-guard path).
   bool FindContaining(uint64_t key, uintptr_t addr, uintptr_t end) const {
-    if (size_ == 0) {
-      return false;
+    const Rep* rep = cell_.plain();
+    if (LXFI_UNLIKELY(rep == nullptr)) {
+      // Empty, or a reclaimer is attached. The validated body stays out of
+      // line so the store guard's inlined plain loop compiles as before.
+      if (!cell_.validated()) {
+        return false;
+      }
+      return FindContainingValidated(key, addr, end);
     }
-    const Rep* rep = rep_;
     const Slot* s = rep->slots();
     const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
+    size_t i = rep->IndexOf(key);
     while (true) {
       const Slot& s0 = s[i];
       const Slot& s1 = s[i + 1];
@@ -699,17 +769,16 @@ class FlatRangeMap {
     }
   }
 
-  // Seqlock-validated lock-free variant of FindContaining for concurrent
-  // readers (the SMP store-guard slow path).
-  bool FindContainingConcurrent(uint64_t key, uintptr_t addr, uintptr_t end) const {
-    return ProbeValidated(key, addr, end, /*containment=*/true);
-  }
-
-  // True iff any range stored under `key` overlaps [addr, end). Lock-free;
-  // used as the revoke pre-filter so RevokeEverywhere does not need to lock
-  // principals that cannot hold the capability.
-  bool AnyOverlapConcurrent(uint64_t key, uintptr_t addr, uintptr_t end) const {
-    return ProbeValidated(key, addr, end, /*containment=*/false);
+  // True iff any range stored under `key` overlaps [addr, end): the revoke
+  // pre-filter (CapTable::MightHold), so RevokeEverywhere only locks
+  // principals that can hold the capability. Seqlock-validated once a
+  // reclaimer is attached.
+  bool AnyOverlap(uint64_t key, uintptr_t addr, uintptr_t end) const {
+    auto walk = [&](const Rep* rep) { return WalkRanges(rep, key, addr, end, false); };
+    if (cell_.validated()) {
+      return cell_.ReadValidated(walk);
+    }
+    return cell_.get() != nullptr && walk(cell_.get()) == 1;
   }
 
   // Inserts (key, [lo, hi)); exact duplicates are ignored. Returns true if
@@ -717,60 +786,35 @@ class FlatRangeMap {
   bool Insert(uint64_t key, uintptr_t lo, uintptr_t hi) {
     // Probe for an exact duplicate before considering growth, so a repeat
     // grant at the load threshold stays a pure lookup.
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->slots()[i].key != 0) {
-        if (rep_->slots()[i].key == key && rep_->slots()[i].lo == lo && rep_->slots()[i].hi == hi) {
-          return false;
-        }
-        i = (i + 1) & rep_->mask;
-      }
+    if (FindExact(key, lo, hi) != kNoSlot) {
+      return false;
     }
     if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
+      Rehash(capacity() == 0 ? flat_internal::kMinCapacity : capacity() * 2);
     }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->slots()[i].key != 0) {
-      i = (i + 1) & rep_->mask;
+    Rep* rep = cell_.get();
+    size_t i = rep->IndexOf(key);
+    while (rep->slots()[i].key != 0) {
+      i = rep->Next(i);
     }
-    seq_.WriteBegin();
-    StoreSlot(rep_, i, Slot{key, lo, hi});
-    seq_.WriteEnd();
+    cell_.Write([&] { StoreSlot(rep, i, Slot{key, lo, hi}); });
     ++size_;
     return true;
   }
 
   // Removes the exact (key, [lo, hi)) slot; backward-shift re-pack.
   bool EraseExact(uint64_t key, uintptr_t lo, uintptr_t hi) {
-    if (size_ == 0) {
+    size_t i = FindExact(key, lo, hi);
+    if (i == kNoSlot) {
       return false;
     }
-    Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      if (rep->slots()[i].key == 0) {
-        return false;
-      }
-      if (rep->slots()[i].key == key && rep->slots()[i].lo == lo && rep->slots()[i].hi == hi) {
-        break;
-      }
-      i = (i + 1) & rep->mask;
-    }
-    seq_.WriteBegin();
-    size_t hole = i;
-    while (true) {
-      i = (i + 1) & rep->mask;
-      if (rep->slots()[i].key == 0) {
-        break;
-      }
-      size_t ideal = IndexOf(rep, rep->slots()[i].key);
-      if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
-        StoreSlot(rep, hole, rep->slots()[i]);
-        hole = i;
-      }
-    }
-    StoreSlot(rep, hole, Slot{0, 0, 0});
-    seq_.WriteEnd();
+    Rep* rep = cell_.get();
+    cell_.Write([&] {
+      size_t hole = flat_internal::BackwardShift(
+          *rep, i, [rep](size_t j) { return rep->slots()[j].key; },
+          [rep](size_t dst, size_t src) { StoreSlot(rep, dst, rep->slots()[src]); });
+      StoreSlot(rep, hole, Slot{0, 0, 0});
+    });
     --size_;
     return true;
   }
@@ -778,35 +822,52 @@ class FlatRangeMap {
   // Visits every range stored under `key` (duplicate-key chain walk).
   template <typename Fn>
   void ForEachWithKey(uint64_t key, Fn&& fn) const {
-    if (size_ == 0) {
+    const Rep* rep = cell_.get();
+    if (rep == nullptr) {
       return;
     }
-    const Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (rep->slots()[i].key != 0) {
+    for (size_t i = rep->IndexOf(key); rep->slots()[i].key != 0; i = rep->Next(i)) {
       if (rep->slots()[i].key == key) {
         fn(rep->slots()[i].lo, rep->slots()[i].hi);
       }
-      i = (i + 1) & rep->mask;
     }
   }
 
   // Visits every (key, lo, hi) slot; order is unspecified.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    if (rep_ == nullptr) {
+    const Rep* rep = cell_.get();
+    if (rep == nullptr) {
       return;
     }
-    for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->slots()[i].key != 0) {
-        fn(rep_->slots()[i].key, rep_->slots()[i].lo, rep_->slots()[i].hi);
+    for (size_t i = 0; i < rep->cap; ++i) {
+      if (rep->slots()[i].key != 0) {
+        fn(rep->slots()[i].key, rep->slots()[i].lo, rep->slots()[i].hi);
       }
     }
   }
 
  private:
-  static size_t IndexOf(const Rep* rep, uint64_t key) {
-    return static_cast<size_t>((key * flat_internal::kGolden) >> rep->shift);
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  size_t FindExact(uint64_t key, uintptr_t lo, uintptr_t hi) const {
+    const Rep* rep = cell_.get();
+    if (rep == nullptr) {
+      return kNoSlot;
+    }
+    for (size_t i = rep->IndexOf(key); rep->slots()[i].key != 0; i = rep->Next(i)) {
+      const Slot& s = rep->slots()[i];
+      if (s.key == key && s.lo == lo && s.hi == hi) {
+        return i;
+      }
+    }
+    return kNoSlot;
+  }
+
+  LXFI_NOINLINE LXFI_COLD bool FindContainingValidated(uint64_t key, uintptr_t addr,
+                                                       uintptr_t end) const {
+    return cell_.ReadValidated(
+        [&](const Rep* r) { return WalkRanges(r, key, addr, end, /*containment=*/true); });
   }
 
   static void StoreField(uintptr_t* p, uintptr_t v) {
@@ -827,32 +888,14 @@ class FlatRangeMap {
     }
   }
 
-  // Retries ProbeConcurrent until a pass validates against the seqlock.
-  bool ProbeValidated(uint64_t key, uintptr_t addr, uintptr_t end, bool containment) const {
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeConcurrent(rep, key, addr, end, containment);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
-  }
-
-  // 1 hit, 0 miss, -1 overran (torn state; caller retries). `containment`
-  // asks for a range holding all of [addr, end), otherwise any overlap.
-  static int ProbeConcurrent(const Rep* rep, uint64_t key, uintptr_t addr, uintptr_t end,
-                             bool containment) {
+  // One-slot walk over relaxed loads, bounded so a torn table cannot loop
+  // forever: 1 hit, 0 miss, -1 overran (the validated caller retries).
+  // `containment` asks for a range holding all of [addr, end), otherwise
+  // any overlap.
+  static int WalkRanges(const Rep* rep, uint64_t key, uintptr_t addr, uintptr_t end,
+                        bool containment) {
     const Slot* s = rep->slots();
-    const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
+    size_t i = rep->IndexOf(key);
     for (size_t steps = 0; steps <= rep->cap; ++steps) {
       uint64_t k = flat_internal::RelaxedLoad(&s[i].key);
       if (k == 0) {
@@ -865,305 +908,32 @@ class FlatRangeMap {
           return 1;
         }
       }
-      i = (i + 1) & mask;
+      i = rep->Next(i);
     }
     return -1;
   }
 
   void Rehash(size_t new_cap) {
-    Rep* old = rep_;
-    Rep* fresh = Rep::Make(new_cap);
-    size_ = 0;
+    Rep* old = cell_.get();
+    Rep* fresh = flat_internal::MakeRep<Rep, Slot>(new_cap, 1);
     if (old != nullptr) {
       for (size_t i = 0; i < old->cap; ++i) {
-        if (old->slots()[i].key != 0) {
-          size_t j = IndexOf(fresh, old->slots()[i].key);
-          while (fresh->slots()[j].key != 0) {
-            j = (j + 1) & fresh->mask;
-          }
-          StoreSlot(fresh, j, old->slots()[i]);
-          ++size_;
+        const Slot& s = old->slots()[i];
+        if (s.key == 0) {
+          continue;
         }
+        size_t j = fresh->IndexOf(s.key);
+        while (fresh->slots()[j].key != 0) {
+          j = fresh->Next(j);
+        }
+        StoreSlot(fresh, j, s);
       }
     }
-    seq_.WriteBegin();
-    flat_internal::PublishRep(&rep_, fresh);
-    seq_.WriteEnd();
-    DisposeRep(old);
+    cell_.Replace(fresh);
   }
 
-  void DisposeRep(Rep* rep) {
-    if (rep == nullptr) {
-      return;
-    }
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([rep] { Rep::Destroy(rep); });
-    } else {
-      Rep::Destroy(rep);
-    }
-  }
-
-  Rep* rep_ = nullptr;
+  flat_internal::RepCell<Rep> cell_;
   size_t size_ = 0;
-  SeqCount seq_;
-  EpochReclaimer* reclaimer_ = nullptr;
-};
-
-// Value-less FlatTable: the CALL and REF capability sets.
-class FlatSet {
-  // Header + inline key array (cap + kWindow-1 mirror slots; 0 = empty).
-  struct Rep {
-    size_t cap;
-    size_t mask;
-    unsigned shift;
-
-    uint64_t* keys() { return reinterpret_cast<uint64_t*>(this + 1); }
-    const uint64_t* keys() const { return reinterpret_cast<const uint64_t*>(this + 1); }
-
-    static Rep* Make(size_t capacity) {
-      size_t nkeys = capacity + flat_internal::kWindow - 1;
-      void* mem = ::operator new(sizeof(Rep) + nkeys * sizeof(uint64_t));
-      Rep* rep = new (mem) Rep();
-      rep->cap = capacity;
-      rep->mask = capacity - 1;
-      rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
-      for (size_t i = 0; i < nkeys; ++i) {
-        rep->keys()[i] = 0;
-      }
-      return rep;
-    }
-    static void Destroy(Rep* rep) {
-      rep->~Rep();
-      ::operator delete(rep);
-    }
-  };
-
- public:
-  FlatSet() = default;
-  ~FlatSet() { DisposeRep(rep_); }
-
-  FlatSet(const FlatSet&) = delete;
-  FlatSet& operator=(const FlatSet&) = delete;
-
-  size_t size() const { return size_ + (has_zero_ ? 1 : 0); }
-  bool empty() const { return size() == 0; }
-  size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
-
-  void SetReclaimer(EpochReclaimer* reclaimer) { reclaimer_ = reclaimer; }
-
-  void Clear() {
-    seq_.WriteBegin();
-    Rep* old = rep_;
-    flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
-    size_ = 0;
-    __atomic_store_n(&has_zero_, false, __ATOMIC_RELAXED);
-    seq_.WriteEnd();
-    DisposeRep(old);
-  }
-
-  bool Contains(uint64_t key) const {
-    if (LXFI_UNLIKELY(key == 0)) {
-      return has_zero_;
-    }
-    if (size_ == 0) {
-      return false;
-    }
-    const Rep* rep = rep_;
-    const uint64_t* keys = rep->keys();
-    const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      const uint64_t* w = keys + i;
-      uint64_t c0 = w[0], c1 = w[1], c2 = w[2], c3 = w[3];
-      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
-        return true;
-      }
-      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
-        return false;
-      }
-      i = (i + flat_internal::kWindow) & mask;
-    }
-  }
-
-  // Lock-free seqlock-validated probe for concurrent readers (the SMP CALL
-  // check slow path and the revoke pre-filter).
-  bool ContainsConcurrent(uint64_t key) const {
-    if (LXFI_UNLIKELY(key == 0)) {
-      return __atomic_load_n(&has_zero_, __ATOMIC_RELAXED);
-    }
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeKeyConcurrent(rep, key);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
-  }
-
-  // Returns true if the key was newly inserted.
-  bool Insert(uint64_t key) {
-    if (key == 0) {
-      bool added = !has_zero_;
-      __atomic_store_n(&has_zero_, true, __ATOMIC_RELAXED);
-      return added;
-    }
-    // Probe for an existing key before considering growth, so a duplicate
-    // insert at the load threshold stays a pure lookup.
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->keys()[i] != 0) {
-        if (rep_->keys()[i] == key) {
-          return false;
-        }
-        i = (i + 1) & rep_->mask;
-      }
-    }
-    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
-    }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->keys()[i] != 0) {
-      i = (i + 1) & rep_->mask;
-    }
-    seq_.WriteBegin();
-    StoreKey(rep_, i, key);
-    seq_.WriteEnd();
-    ++size_;
-    return true;
-  }
-
-  bool Erase(uint64_t key) {
-    if (key == 0) {
-      bool had = has_zero_;
-      __atomic_store_n(&has_zero_, false, __ATOMIC_RELAXED);
-      return had;
-    }
-    if (size_ == 0) {
-      return false;
-    }
-    Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      if (rep->keys()[i] == key) {
-        break;
-      }
-      if (rep->keys()[i] == 0) {
-        return false;
-      }
-      i = (i + 1) & rep->mask;
-    }
-    seq_.WriteBegin();
-    size_t hole = i;
-    while (true) {
-      i = (i + 1) & rep->mask;
-      if (rep->keys()[i] == 0) {
-        break;
-      }
-      size_t ideal = IndexOf(rep, rep->keys()[i]);
-      if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
-        StoreKey(rep, hole, rep->keys()[i]);
-        hole = i;
-      }
-    }
-    StoreKey(rep, hole, 0);
-    seq_.WriteEnd();
-    --size_;
-    return true;
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (has_zero_) {
-      fn(uint64_t{0});
-    }
-    if (rep_ == nullptr) {
-      return;
-    }
-    for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->keys()[i] != 0) {
-        fn(rep_->keys()[i]);
-      }
-    }
-  }
-
- private:
-  static size_t IndexOf(const Rep* rep, uint64_t key) {
-    return static_cast<size_t>((key * flat_internal::kGolden) >> rep->shift);
-  }
-
-  static void StoreKey(Rep* rep, size_t i, uint64_t v) {
-    flat_internal::RelaxedStore(rep->keys() + i, v);
-    if (i < flat_internal::kWindow - 1) {
-      flat_internal::RelaxedStore(rep->keys() + rep->cap + i, v);
-    }
-  }
-
-  static int ProbeKeyConcurrent(const Rep* rep, uint64_t key) {
-    const uint64_t* keys = rep->keys();
-    const size_t mask = rep->mask;
-    size_t i = (key * flat_internal::kGolden) >> rep->shift;
-    for (size_t steps = 0; steps <= rep->cap; steps += flat_internal::kWindow) {
-      uint64_t c0 = flat_internal::RelaxedLoad(keys + i);
-      uint64_t c1 = flat_internal::RelaxedLoad(keys + i + 1);
-      uint64_t c2 = flat_internal::RelaxedLoad(keys + i + 2);
-      uint64_t c3 = flat_internal::RelaxedLoad(keys + i + 3);
-      if ((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key)) {
-        return 1;
-      }
-      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
-        return 0;
-      }
-      i = (i + flat_internal::kWindow) & mask;
-    }
-    return -1;
-  }
-
-  void Rehash(size_t new_cap) {
-    Rep* old = rep_;
-    Rep* fresh = Rep::Make(new_cap);
-    size_ = 0;
-    if (old != nullptr) {
-      for (size_t i = 0; i < old->cap; ++i) {
-        if (old->keys()[i] != 0) {
-          size_t j = IndexOf(fresh, old->keys()[i]);
-          while (fresh->keys()[j] != 0) {
-            j = (j + 1) & fresh->mask;
-          }
-          StoreKey(fresh, j, old->keys()[i]);
-          ++size_;
-        }
-      }
-    }
-    seq_.WriteBegin();
-    flat_internal::PublishRep(&rep_, fresh);
-    seq_.WriteEnd();
-    DisposeRep(old);
-  }
-
-  void DisposeRep(Rep* rep) {
-    if (rep == nullptr) {
-      return;
-    }
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([rep] { Rep::Destroy(rep); });
-    } else {
-      Rep::Destroy(rep);
-    }
-  }
-
-  Rep* rep_ = nullptr;
-  size_t size_ = 0;  // non-zero-key entries
-  bool has_zero_ = false;
-  SeqCount seq_;
-  EpochReclaimer* reclaimer_ = nullptr;
 };
 
 }  // namespace lxfi

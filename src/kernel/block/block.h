@@ -43,6 +43,8 @@ struct BlockDevice {
   uint64_t sectors = 0;
   uint8_t* backing = nullptr;  // RAM disk storage (kernel-owned), null for dm
   void* private_data = nullptr;
+  // I/O counters, bumped with relaxed atomic adds (several CPUs may
+  // submit to one device); plain fields so readers stay simple.
   uint64_t reads = 0;
   uint64_t writes = 0;
 };

@@ -130,19 +130,7 @@ bool CapTable::Revoke(const Capability& cap) {
   return false;
 }
 
-bool CapTable::CheckConcurrent(const Capability& cap) const {
-  switch (cap.kind) {
-    case CapKind::kWrite:
-      return CheckWriteConcurrent(cap.addr, cap.size);
-    case CapKind::kCall:
-      return CheckCallConcurrent(cap.addr);
-    case CapKind::kRef:
-      return CheckRefConcurrent(cap.ref_type, cap.addr);
-  }
-  return false;
-}
-
-bool CapTable::MightHoldConcurrent(const Capability& cap) const {
+bool CapTable::MightHold(const Capability& cap) const {
   switch (cap.kind) {
     case CapKind::kWrite: {
       if (cap.size == 0) {
@@ -158,16 +146,16 @@ bool CapTable::MightHoldConcurrent(const Capability& cap) const {
         return true;
       }
       for (uintptr_t b = first; b <= last; ++b) {
-        if (write_buckets_.AnyOverlapConcurrent(BucketKey(b), cap.addr, qend)) {
+        if (write_buckets_.AnyOverlap(BucketKey(b), cap.addr, qend)) {
           return true;
         }
       }
       return false;
     }
     case CapKind::kCall:
-      return call_.ContainsConcurrent(cap.addr);
+      return call_.Contains(cap.addr);
     case CapKind::kRef:
-      return ref_.ContainsConcurrent(RefKey(cap.ref_type, cap.addr));
+      return ref_.Contains(RefKey(cap.ref_type, cap.addr));
   }
   return false;
 }

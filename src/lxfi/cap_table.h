@@ -13,7 +13,8 @@
 // WRITE ranges live in an interleaved FlatRangeMap (bucket key and range in
 // one 32-byte slot; a bucket covered by several ranges owns several slots on
 // one probe chain), CALL and REF in FlatSets, so the common probe touches
-// one short run of contiguous memory.
+// one short run of contiguous memory. Each query has one probe; the tables
+// pick its plain or seqlock-validated body from whether SetReclaimer ran.
 #pragma once
 
 #include <cstdint>
@@ -68,34 +69,22 @@ class CapTable {
 
   // --- SMP read-mostly mode -------------------------------------------------
   // Attaches the grace-period reclaimer to all three tables; after this,
-  // the *Concurrent probes below are safe against concurrent mutation
-  // (which must itself be serialized by the owning principal's lock).
+  // every Check* probe above runs its seqlock-validated body and is safe
+  // against concurrent mutation (which must itself be serialized by the
+  // owning principal's lock).
   void SetReclaimer(EpochReclaimer* reclaimer) {
     write_buckets_.SetReclaimer(reclaimer);
     call_.SetReclaimer(reclaimer);
     ref_.SetReclaimer(reclaimer);
   }
 
-  // Lock-free seqlock-validated probes (the SMP enforcement slow paths).
-  bool CheckWriteConcurrent(uintptr_t addr, size_t size) const {
-    if (size == 0) {
-      return true;
-    }
-    return write_buckets_.FindContainingConcurrent(BucketKey(BucketOf(addr)), addr,
-                                                   RangeEnd(addr, size));
-  }
-  bool CheckCallConcurrent(uintptr_t target) const { return call_.ContainsConcurrent(target); }
-  bool CheckRefConcurrent(RefTypeId type, uintptr_t addr) const {
-    return ref_.ContainsConcurrent(RefKey(type, addr));
-  }
-  bool CheckConcurrent(const Capability& cap) const;
-
   // Revoke pre-filter: true when this table might hold state that
-  // Revoke(cap) would remove. Lock-free, so RevokeEverywhere only locks
-  // principals that can actually be affected; a false positive costs a
-  // locked no-op revoke, a false negative can only happen for a capability
-  // granted concurrently with the revoke (the two were unordered anyway).
-  bool MightHoldConcurrent(const Capability& cap) const;
+  // Revoke(cap) would remove. Lock-free once a reclaimer is attached, so
+  // RevokeEverywhere only locks principals that can actually be affected; a
+  // false positive costs a locked no-op revoke, a false negative can only
+  // happen for a capability granted concurrently with the revoke (the two
+  // were unordered anyway).
+  bool MightHold(const Capability& cap) const;
 
   size_t write_count() const;
   size_t call_count() const { return call_.size(); }

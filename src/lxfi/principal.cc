@@ -62,30 +62,21 @@ void ModuleCtx::PublishSnapshot() {
 }
 
 Principal* ModuleCtx::GetOrCreate(uintptr_t name) {
-  if (reclaimer_ != nullptr) {
-    // Lock-free hit path: per-crossing principal() resolution lands here on
-    // every kernel->module call, and the principal almost always exists.
-    Principal* found = nullptr;
-    if (by_name_.FindValueConcurrent(name, &found)) {
-      return found;
-    }
-    SpinGuard guard(mu_);
-    if (Principal* const* raced = by_name_.Find(name)) {
-      return *raced;
-    }
-    instances_.push_back(std::make_unique<Principal>(this, PrincipalKind::kInstance, name));
-    Principal* p = instances_.back().get();
-    p->caps().SetReclaimer(reclaimer_);
-    by_name_.Insert(name, p);
-    PublishSnapshot();
-    TRACE_EVENT(TraceEvent::kPrincipalCreate, p->trace_id(), name, 0);
-    return p;
+  const bool concurrent = reclaimer_ != nullptr;
+  // In concurrent mode the hit path is lock-free: per-crossing principal()
+  // resolution lands here on every kernel->module call, and the principal
+  // almost always exists.
+  Principal* found = nullptr;
+  if (concurrent && by_name_.FindValueConcurrent(name, &found)) {
+    return found;
   }
-  if (Principal* const* found = by_name_.Find(name)) {
-    return *found;
+  OptionalSpinGuard guard(mu_, concurrent);
+  if (Principal* const* hit = by_name_.Find(name)) {
+    return *hit;
   }
   instances_.push_back(std::make_unique<Principal>(this, PrincipalKind::kInstance, name));
   Principal* p = instances_.back().get();
+  p->caps().SetReclaimer(reclaimer_);
   by_name_.Insert(name, p);
   PublishSnapshot();
   TRACE_EVENT(TraceEvent::kPrincipalCreate, p->trace_id(), name, 0);
@@ -143,7 +134,9 @@ void ModuleCtx::DropInstance(uintptr_t name) {
 // The one copy of the ownership fallback chain (§3.1): the principal itself,
 // then the module's shared principal, then — for the global principal — the
 // union over every instance. `probe` answers "does this table satisfy the
-// query" for one principal.
+// query" for one principal. The instance walk iterates the published
+// snapshot (kept current in both modes), so it cannot race instance
+// creation under concurrent enforcement.
 template <typename Probe>
 bool ModuleCtx::OwnsChain(const Principal* p, Probe&& probe) const {
   if (probe(*p)) {
@@ -153,28 +146,7 @@ bool ModuleCtx::OwnsChain(const Principal* p, Probe&& probe) const {
     return true;
   }
   if (p->kind() == PrincipalKind::kGlobal) {
-    for (const auto& inst : instances_) {
-      if (probe(*inst)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-// Concurrent flavor: same chain, but the global-principal case iterates the
-// published snapshot so it cannot race instance creation.
-template <typename Probe>
-bool ModuleCtx::OwnsChainConcurrent(const Principal* p, Probe&& probe) const {
-  if (probe(*p)) {
-    return true;
-  }
-  if (p != &shared_ && probe(shared_)) {
-    return true;
-  }
-  if (p->kind() == PrincipalKind::kGlobal) {
-    const InstanceSnapshot* snap = AcquireSnapshot();
-    for (const Principal* inst : snap->items) {
+    for (const Principal* inst : AcquireSnapshot()->items) {
       if (probe(*inst)) {
         return true;
       }
@@ -201,7 +173,6 @@ static ArenaAnswer ArenaWriteProbe(const Principal& q, uintptr_t addr, size_t si
 }
 
 // One principal's WRITE answer: its span, else its table.
-template <bool kConcurrent>
 static bool PrincipalOwnsWrite(const Principal& q, uintptr_t addr, size_t size) {
   switch (ArenaWriteProbe(q, addr, size)) {
     case ArenaAnswer::kAllow:
@@ -211,7 +182,7 @@ static bool PrincipalOwnsWrite(const Principal& q, uintptr_t addr, size_t size) 
     case ArenaAnswer::kNotMine:
       break;
   }
-  return kConcurrent ? q.caps().CheckWriteConcurrent(addr, size) : q.caps().CheckWrite(addr, size);
+  return q.caps().CheckWrite(addr, size);
 }
 
 bool ModuleCtx::Owns(const Principal* p, const Capability& cap) const {
@@ -222,56 +193,32 @@ bool ModuleCtx::Owns(const Principal* p, const Capability& cap) const {
 }
 
 bool ModuleCtx::OwnsWrite(const Principal* p, uintptr_t addr, size_t size) const {
-  return OwnsChain(p, [&](const Principal& q) { return PrincipalOwnsWrite<false>(q, addr, size); });
+  return OwnsChain(p, [&](const Principal& q) { return PrincipalOwnsWrite(q, addr, size); });
 }
 
 bool ModuleCtx::OwnsCall(const Principal* p, uintptr_t target) const {
   return OwnsChain(p, [target](const Principal& q) { return q.caps().CheckCall(target); });
 }
 
-bool ModuleCtx::OwnsConcurrent(const Principal* p, const Capability& cap) const {
-  if (cap.kind == CapKind::kWrite) {
-    return OwnsWriteConcurrent(p, cap.addr, cap.size);
-  }
-  return OwnsChainConcurrent(p, [&cap](const Principal& q) { return q.caps().CheckConcurrent(cap); });
-}
-
-bool ModuleCtx::OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size) const {
-  return OwnsChainConcurrent(
-      p, [&](const Principal& q) { return PrincipalOwnsWrite<true>(q, addr, size); });
-}
-
-bool ModuleCtx::OwnsCallConcurrent(const Principal* p, uintptr_t target) const {
-  return OwnsChainConcurrent(
-      p, [target](const Principal& q) { return q.caps().CheckCallConcurrent(target); });
-}
-
 bool ModuleCtx::RevokeEverywhere(const Capability& cap) {
-  if (reclaimer_ == nullptr) {
-    bool any = shared_.caps().Revoke(cap);
-    any |= global_.caps().Revoke(cap);
-    for (auto& inst : instances_) {
-      any |= inst->caps().Revoke(cap);
-    }
-    return any;
-  }
-  // SMP path: pre-filter each principal lock-free so the common per-packet
-  // transfer locks only the one principal that actually holds the
-  // capability. The removal is a seqlock write section (inside
+  // In concurrent mode a lock-free pre-filter keeps the common per-packet
+  // transfer to locking only the one principal that actually holds the
+  // capability; with no locks to save, a holder would only pay a second
+  // probe. The removal is a seqlock write section (inside
   // CapTable::Revoke), so any probe that begins after this revoke returns
   // validates only against the post-removal table: a returned revoke is
   // never passed.
-  auto revoke_one = [&cap](Principal* p) {
-    if (!p->caps().MightHoldConcurrent(cap)) {
+  const bool concurrent = reclaimer_ != nullptr;
+  auto revoke_one = [&cap, concurrent](Principal* p) {
+    if (concurrent && !p->caps().MightHold(cap)) {
       return false;
     }
-    SpinGuard guard(p->lock());
+    OptionalSpinGuard guard(p->lock(), concurrent);
     return p->caps().Revoke(cap);
   };
   bool any = revoke_one(&shared_);
   any |= revoke_one(&global_);
-  const InstanceSnapshot* snap = AcquireSnapshot();
-  for (Principal* inst : snap->items) {
+  for (Principal* inst : AcquireSnapshot()->items) {
     any |= revoke_one(inst);
   }
   return any;

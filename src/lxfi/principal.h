@@ -158,9 +158,11 @@ class ModuleCtx {
   const std::string& name() const;
 
   // Switches this module's principal state into SMP mode: capability tables
-  // retire replaced slot arrays through `reclaimer`, instance creation
-  // publishes snapshots, and ownership probes go lock-free. Must be called
-  // before any concurrent access (Runtime does it at module load).
+  // retire replaced slot arrays through `reclaimer` (which also switches
+  // their probes to the seqlock-validated body), instance creation takes
+  // the lock-free hit path, and dropped principals are reclaimed after a
+  // grace period. Must be called before any concurrent access (Runtime does
+  // it at module load).
   void EnableConcurrent(EpochReclaimer* reclaimer);
   bool concurrent() const { return reclaimer_ != nullptr; }
 
@@ -195,30 +197,22 @@ class ModuleCtx {
   bool Owns(const Principal* p, const Capability& cap) const;
 
   // WRITE and CALL ownership with the same fallback chain, without building
-  // a Capability (the store-guard and CALL-check slow paths).
+  // a Capability (the store-guard and CALL-check slow paths). Lock-free in
+  // concurrent mode: every table probe is then seqlock-validated, and the
+  // global-principal case walks the published instance snapshot.
   bool OwnsWrite(const Principal* p, uintptr_t addr, size_t size) const;
   bool OwnsCall(const Principal* p, uintptr_t target) const;
-
-  // Lock-free variants for SMP enforcement: identical fallback chain, but
-  // every table probe is seqlock-validated and the global-principal case
-  // walks the published instance snapshot.
-  bool OwnsConcurrent(const Principal* p, const Capability& cap) const;
-  bool OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size) const;
-  bool OwnsCallConcurrent(const Principal* p, uintptr_t target) const;
 
  private:
   // Shared self -> shared -> (global: instances) fallback chain; `probe`
   // tests one principal's table. Defined in principal.cc.
   template <typename Probe>
   bool OwnsChain(const Principal* p, Probe&& probe) const;
-  template <typename Probe>
-  bool OwnsChainConcurrent(const Principal* p, Probe&& probe) const;
 
  public:
-
   // Revokes `cap` from every principal of this module; returns true if any
-  // principal held it. In concurrent mode each affected principal is
-  // revoked under its own lock, pre-filtered by a lock-free probe.
+  // principal held it. In concurrent mode each principal is pre-filtered by
+  // a lock-free table probe and revoked under its own lock.
   bool RevokeEverywhere(const Capability& cap);
 
   // --- heap-partition bookkeeping -------------------------------------------

@@ -477,9 +477,6 @@ void Runtime::Grant(Principal* p, const Capability& cap) {
 }
 
 bool Runtime::Owns(Principal* p, const Capability& cap) const {
-  if (LXFI_UNLIKELY(options_.concurrent_enforcement)) {
-    return p->module()->OwnsConcurrent(p, cap);
-  }
   return p->module()->Owns(p, cap);
 }
 
@@ -537,7 +534,7 @@ void Runtime::CheckWriteBody(Principal* p, uintptr_t addr, size_t size) {
   if (OnKernelStack(addr, size)) {
     return;
   }
-  if (LXFI_LIKELY(TablesOwnWrite(p, addr, size))) {
+  if (LXFI_LIKELY(p->module()->OwnsWrite(p, addr, size))) {
     return;
   }
   RaiseViolation(ViolationKind::kWrite,
@@ -553,14 +550,12 @@ bool Runtime::OwnsWriteFast(Principal* p, uintptr_t addr, size_t size) {
     return !p->arena_sealed();
   }
   ++p->ctx().write_checks;
-  return TablesOwnWrite(p, addr, size);
+  return p->module()->OwnsWrite(p, addr, size);
 }
 
 bool Runtime::OwnsCallFast(Principal* p, uintptr_t target) {
   ++p->ctx().call_checks;
-  return LXFI_UNLIKELY(options_.concurrent_enforcement)
-             ? p->module()->OwnsCallConcurrent(p, target)
-             : p->module()->OwnsCall(p, target);
+  return p->module()->OwnsCall(p, target);
 }
 
 void Runtime::CheckCall(Principal* p, uintptr_t target, const std::string& name) {
@@ -592,27 +587,20 @@ void Runtime::IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr
     guards_.Count(GuardType::kIndCallModule);
   }
   uintptr_t slot = reinterpret_cast<uintptr_t>(pptr);
-  const bool concurrent = options_.concurrent_enforcement;
-  if (LXFI_LIKELY(concurrent ? writer_set_.EmptyConcurrent(slot) : writer_set_.Empty(slot))) {
+  if (LXFI_LIKELY(writer_set_.Empty(slot))) {
     return;  // fast path: no principal could have written this slot
   }
   GuardScope<kTimed> full_guard(&guards_, GuardType::kIndCallFull);
+  // Slow path only (ops-table slots): under concurrent_enforcement the
+  // writers are copied out under the writer-set lock.
   WriterVec scratch;
-  const WriterVec* writers;
-  if (concurrent) {
-    // The inline writer vector cannot be read lock-free; copy it out
-    // under the writer-set lock (slow path only — ops-table slots).
-    writer_set_.SnapshotWriters(slot, &scratch);
-    writers = &scratch;
-  } else {
-    writers = &writer_set_.WritersFor(slot);
-  }
-  if (writers->empty()) {
+  const WriterVec& writers = writer_set_.WritersFor(slot, &scratch);
+  if (writers.empty()) {
     return;
   }
   // Every principal that could have written the slot must hold a CALL
   // capability for the stored target (§4.1).
-  for (Principal* writer : *writers) {
+  for (Principal* writer : writers) {
     if (!OwnsCallFast(writer, target)) {
       RaiseViolation(
           ViolationKind::kIndirectCall,

@@ -273,14 +273,6 @@ class Runtime : public kern::IsolationHooks {
   // --- enforcement fast-path internals ------------------------------------
   // Store-guard body shared by the timed and counter-only entry paths.
   void CheckWriteBody(Principal* p, uintptr_t addr, size_t size);
-  // The table step after the span: the ownership fallback chain (span, then
-  // flat table, per principal), seqlock-validated under
-  // concurrent_enforcement. Shared by the store guard and OwnsWriteFast.
-  bool TablesOwnWrite(Principal* p, uintptr_t addr, size_t size) const {
-    return LXFI_UNLIKELY(options_.concurrent_enforcement)
-               ? p->module()->OwnsWriteConcurrent(p, addr, size)
-               : p->module()->OwnsWrite(p, addr, size);
-  }
   // Indirect-call body shared by the timed and counter-only entry paths.
   template <bool kTimed>
   void IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr_t target);

@@ -15,16 +15,7 @@ void WriterSet::AddRange(Principal* writer, uintptr_t addr, size_t size) {
   }
   uintptr_t first = addr >> kPageShift;
   uintptr_t last = (addr + size - 1) >> kPageShift;
-  if (concurrent_) {
-    SpinGuard guard(mu_);
-    for (uintptr_t page = first; page <= last; ++page) {
-      WriterVec& writers = pages_.GetOrInsert(page);
-      if (!writers.contains(writer)) {
-        writers.push_back(writer);
-      }
-    }
-    return;
-  }
+  OptionalSpinGuard guard(mu_, concurrent_);
   for (uintptr_t page = first; page <= last; ++page) {
     WriterVec& writers = pages_.GetOrInsert(page);
     if (!writers.contains(writer)) {
@@ -57,14 +48,7 @@ void WriterSet::ClearRange(uintptr_t addr, size_t size) {
   if (first_full >= last_full) {
     return;  // no fully-covered page; nothing erased, generation unchanged
   }
-  if (concurrent_) {
-    SpinGuard guard(mu_);
-    for (uintptr_t page = first_full; page < last_full; ++page) {
-      pages_.Erase(page);
-    }
-    clear_gen_.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
+  OptionalSpinGuard guard(mu_, concurrent_);
   for (uintptr_t page = first_full; page < last_full; ++page) {
     pages_.Erase(page);
   }
@@ -72,22 +56,14 @@ void WriterSet::ClearRange(uintptr_t addr, size_t size) {
 }
 
 void WriterSet::RemoveWriter(Principal* writer) {
-  auto remove = [this, writer] {
-    pages_.EraseIf([writer](uint64_t page, const WriterVec& writers) {
-      // EraseIf visits values by const ref; removal mutates in place, which
-      // is safe because it never inserts or erases table entries mid-scan.
-      auto& mut = const_cast<WriterVec&>(writers);
-      mut.erase_value(writer);
-      return mut.empty();
-    });
-  };
-  if (concurrent_) {
-    SpinGuard guard(mu_);
-    remove();
-    clear_gen_.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
-  remove();
+  OptionalSpinGuard guard(mu_, concurrent_);
+  pages_.EraseIf([writer](uint64_t page, const WriterVec& writers) {
+    // EraseIf visits values by const ref; removal mutates in place, which
+    // is safe because it never inserts or erases table entries mid-scan.
+    auto& mut = const_cast<WriterVec&>(writers);
+    mut.erase_value(writer);
+    return mut.empty();
+  });
   clear_gen_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -96,12 +72,16 @@ const WriterVec& WriterSet::WritersFor(uintptr_t addr) const {
   return writers == nullptr ? kEmpty : *writers;
 }
 
-void WriterSet::SnapshotWriters(uintptr_t addr, WriterVec* out) const {
+const WriterVec& WriterSet::WritersFor(uintptr_t addr, WriterVec* scratch) const {
+  if (!concurrent_) {
+    return WritersFor(addr);
+  }
   SpinGuard guard(mu_);
   const WriterVec* writers = pages_.Find(addr >> kPageShift);
   if (writers != nullptr) {
-    *out = *writers;
+    *scratch = *writers;
   }
+  return *scratch;
 }
 
 }  // namespace lxfi

@@ -15,14 +15,14 @@
 // inline (src/base/flat_table.h), so the Empty() probe on every kernel
 // indirect call walks contiguous memory only.
 //
-// SMP mode: the emptiness probe (EmptyConcurrent) is a lock-free
-// seqlock-validated key probe; mutation and the slow-path writer snapshot
-// take the writer spinlock. The per-packet grant path avoids this lock
-// almost entirely: Runtime::Grant records, per principal, which pages are
-// already attributed (Principal::writer_pages(), under the per-principal
-// lock it already holds) and only calls into the global table for pages
-// never seen before — after warmup, steady-state traffic takes zero global
-// locks here.
+// SMP mode: the emptiness probe (Empty) runs the page table's
+// seqlock-validated body once EnableConcurrent attaches the reclaimer;
+// mutation and the slow-path writer snapshot take the writer spinlock. The
+// per-packet grant path avoids this lock almost entirely: Runtime::Grant
+// records, per principal, which pages are already attributed
+// (Principal::writer_pages(), under the per-principal lock it already
+// holds) and only calls into the global table for pages never seen
+// before — after warmup, steady-state traffic takes zero global locks here.
 #pragma once
 
 #include <atomic>
@@ -66,21 +66,17 @@ class WriterSet {
     // Present ⟹ non-empty: AddRange never leaves an empty writer vector,
     // and ClearRange/RemoveWriter erase entries that drain. Emptiness is
     // therefore a pure key probe — the value array is never touched on the
-    // kernel's indirect-call fast path.
+    // kernel's indirect-call fast path (lock-free in concurrent mode).
     return !pages_.Contains(addr >> kPageShift);
   }
 
-  // Lock-free SMP variant of Empty() (seqlock-validated key probe).
-  bool EmptyConcurrent(uintptr_t addr) const {
-    return !pages_.ContainsConcurrent(addr >> kPageShift);
-  }
-
-  // Writers recorded for the page containing `addr`.
+  // Writers recorded for the page containing `addr` (quiescent contexts).
   const WriterVec& WritersFor(uintptr_t addr) const;
-
-  // SMP slow path: copies the writers for `addr`'s page under the lock (the
-  // inline writer vector cannot be read lock-free).
-  void SnapshotWriters(uintptr_t addr, WriterVec* out) const;
+  // The same from the enforcement path, in either mode: single-threaded
+  // mode returns the table's own vector; concurrent mode copies it into
+  // `scratch` under the lock (the inline writer vector cannot be read
+  // lock-free) and returns `scratch`.
+  const WriterVec& WritersFor(uintptr_t addr, WriterVec* scratch) const;
 
   // Enables lock-free probes: attaches the grace-period reclaimer and
   // switches mutators to take the internal lock.

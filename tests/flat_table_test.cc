@@ -2,6 +2,9 @@
 // (src/base/flat_table.h, src/base/small_vector.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -124,36 +127,6 @@ TEST(FlatSet, GrowsThroughManyInserts) {
   EXPECT_FALSE(s.Contains(10001 * 0x9e3779b9ull));
 }
 
-// Deletion-heavy churn: backward-shift erase must keep every remaining key
-// findable. This is the workload tombstone schemes degrade on and the one
-// that catches shift bugs (keys displaced across the erased slot).
-TEST(FlatSet, ChurnMatchesStdReference) {
-  lxfi::Rng rng(1234);
-  FlatSet s;
-  std::unordered_set<uint64_t> ref;
-  for (int step = 0; step < 200000; ++step) {
-    // Narrow key space (512) on a table that grows to a few hundred slots:
-    // plenty of probe-chain overlap, plenty of wrap-around at the array end.
-    uint64_t key = rng.Below(512);
-    switch (rng.Below(3)) {
-      case 0:
-        EXPECT_EQ(s.Insert(key), ref.insert(key).second);
-        break;
-      case 1:
-        EXPECT_EQ(s.Erase(key), ref.erase(key) != 0);
-        break;
-      default:
-        EXPECT_EQ(s.Contains(key), ref.count(key) != 0);
-        break;
-    }
-    ASSERT_EQ(s.size(), ref.size());
-  }
-  // Final full sweep: everything the reference holds must be present.
-  for (uint64_t key : ref) {
-    ASSERT_TRUE(s.Contains(key)) << "lost key " << key << " after churn";
-  }
-}
-
 // --- FlatTable --------------------------------------------------------------
 
 TEST(FlatTable, GetOrInsertFindErase) {
@@ -202,44 +175,6 @@ TEST(FlatTable, EraseIfRemovesMatchingEntries) {
   });
 }
 
-TEST(FlatTable, ChurnMatchesStdReference) {
-  lxfi::Rng rng(77);
-  FlatTable<uint32_t> t;
-  std::unordered_map<uint64_t, uint32_t> ref;
-  for (int step = 0; step < 200000; ++step) {
-    uint64_t key = rng.Below(384);
-    switch (rng.Below(4)) {
-      case 0:
-      case 1: {
-        auto value = static_cast<uint32_t>(rng.Below(1u << 30));
-        t.GetOrInsert(key) = value;
-        ref[key] = value;
-        break;
-      }
-      case 2:
-        EXPECT_EQ(t.Erase(key), ref.erase(key) != 0);
-        break;
-      default: {
-        auto it = ref.find(key);
-        const uint32_t* found = t.Find(key);
-        if (it == ref.end()) {
-          ASSERT_EQ(found, nullptr);
-        } else {
-          ASSERT_NE(found, nullptr);
-          ASSERT_EQ(*found, it->second);
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(t.size(), ref.size());
-  }
-  for (const auto& [key, value] : ref) {
-    const uint32_t* found = t.Find(key);
-    ASSERT_NE(found, nullptr) << "lost key " << key << " after churn";
-    ASSERT_EQ(*found, value);
-  }
-}
-
 // SmallVector values inside FlatTable slots must survive the moves done by
 // rehash and backward-shift erase (the CapTable/WriterSet configuration).
 TEST(FlatTable, SmallVectorValuesSurviveChurn) {
@@ -266,6 +201,224 @@ TEST(FlatTable, SmallVectorValuesSurviveChurn) {
       ASSERT_EQ((*got)[i], expect[i]);
     }
   }
+}
+
+// --- Both probe bodies -------------------------------------------------------
+//
+// Every flat container picks its probe body itself: the plain windowed loop
+// without a reclaimer, the seqlock-validated walk once one is attached. The
+// std-reference churn tests below run each container in both configurations,
+// so a fault in either body (or in the shared key array, erase and rehash
+// underneath them) fails its own arm.
+
+struct ProbeBody {
+  const char* name;
+  bool reclaimer;
+};
+
+class FlatChurn : public ::testing::TestWithParam<ProbeBody> {
+ protected:
+  template <typename Table>
+  void Configure(Table& t) const {
+    if (GetParam().reclaimer) {
+      t.SetReclaimer(&lxfi::EpochReclaimer::Global());
+    }
+  }
+};
+
+void PrintTo(const ProbeBody& body, std::ostream* os) { *os << body.name; }
+
+// `n` distinct keys for the churn tests: 0 (the side slot) plus random
+// 64-bit keys. Small sequential keys would not do: Fibonacci hashing
+// spreads them almost perfectly, so their probe chains never grow past the
+// first window and a fault in a later lane would go unseen.
+std::vector<uint64_t> KeyPool(size_t n, uint64_t seed) {
+  lxfi::Rng rng(seed);
+  std::unordered_set<uint64_t> seen{0};
+  std::vector<uint64_t> keys{0};
+  while (keys.size() < n) {
+    uint64_t key = rng.Next();
+    if (seen.insert(key).second) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+INSTANTIATE_TEST_SUITE_P(Probes, FlatChurn,
+                         ::testing::Values(ProbeBody{"Plain", false},
+                                           ProbeBody{"Validated", true}),
+                         [](const ::testing::TestParamInfo<ProbeBody>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Deletion-heavy churn: backward-shift erase must keep every remaining key
+// findable. This is the workload tombstone schemes degrade on and the one
+// that catches shift bugs (keys displaced across the erased slot).
+TEST_P(FlatChurn, SetMatchesStdReference) {
+  lxfi::Rng rng(1234);
+  FlatSet s;
+  Configure(s);
+  std::unordered_set<uint64_t> ref;
+  const std::vector<uint64_t> keys = KeyPool(512, 99);
+  for (int step = 0; step < 200000; ++step) {
+    // Narrow key space (512) on a table that grows to a few hundred slots:
+    // plenty of probe-chain overlap, plenty of wrap-around at the array end.
+    uint64_t key = keys[rng.Below(keys.size())];
+    switch (rng.Below(3)) {
+      case 0:
+        EXPECT_EQ(s.Insert(key), ref.insert(key).second);
+        break;
+      case 1:
+        EXPECT_EQ(s.Erase(key), ref.erase(key) != 0);
+        break;
+      default:
+        ASSERT_EQ(s.Contains(key), ref.count(key) != 0) << "key " << key << " at step " << step;
+        break;
+    }
+    ASSERT_EQ(s.size(), ref.size());
+  }
+  // Final full sweep: everything the reference holds must be present.
+  for (uint64_t key : ref) {
+    ASSERT_TRUE(s.Contains(key)) << "lost key " << key << " after churn";
+  }
+  s.Clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.Contains(ref.empty() ? 1 : *ref.begin()));
+}
+
+TEST_P(FlatChurn, TableMatchesStdReference) {
+  lxfi::Rng rng(77);
+  FlatTable<uint64_t> t;
+  Configure(t);
+  std::unordered_map<uint64_t, uint64_t> ref;
+  const std::vector<uint64_t> keys = KeyPool(384, 7);
+  for (int step = 0; step < 200000; ++step) {
+    uint64_t key = keys[rng.Below(keys.size())];
+    switch (rng.Below(4)) {
+      case 0: {
+        uint64_t value = rng.Below(1u << 30);
+        t.GetOrInsert(key) = value;
+        ref[key] = value;
+        break;
+      }
+      case 1: {
+        uint64_t value = rng.Below(1u << 30);
+        EXPECT_EQ(t.Insert(key, value), ref.count(key) == 0);
+        ref[key] = value;
+        break;
+      }
+      case 2:
+        EXPECT_EQ(t.Erase(key), ref.erase(key) != 0);
+        break;
+      default: {
+        auto it = ref.find(key);
+        const uint64_t* found = t.Find(key);
+        uint64_t loaded = 0;
+        bool loaded_ok = t.FindValueConcurrent(key, &loaded);
+        ASSERT_EQ(t.Contains(key), it != ref.end()) << "key " << key << " at step " << step;
+        if (it == ref.end()) {
+          ASSERT_EQ(found, nullptr);
+          ASSERT_FALSE(loaded_ok);
+        } else {
+          ASSERT_NE(found, nullptr);
+          ASSERT_EQ(*found, it->second);
+          ASSERT_TRUE(loaded_ok);
+          ASSERT_EQ(loaded, it->second);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size());
+  }
+  for (const auto& [key, value] : ref) {
+    const uint64_t* found = t.Find(key);
+    ASSERT_NE(found, nullptr) << "lost key " << key << " after churn";
+    ASSERT_EQ(*found, value);
+    ASSERT_TRUE(t.Contains(key));
+  }
+}
+
+// FlatRangeMap against a naive range list: containment (the store-guard
+// probe, FindContaining) and overlap (the revoke pre-filter, AnyOverlap)
+// over duplicate keys, exact-match erase and rehash.
+TEST_P(FlatChurn, RangeMapMatchesNaiveRangeList) {
+  struct Entry {
+    uint64_t key;
+    uintptr_t lo;
+    uintptr_t hi;
+    bool operator==(const Entry& o) const { return key == o.key && lo == o.lo && hi == o.hi; }
+  };
+  lxfi::Rng rng(4242);
+  lxfi::FlatRangeMap m;
+  Configure(m);
+  std::vector<Entry> ref;
+  auto random_range = [&rng](uintptr_t* lo, uintptr_t* hi) {
+    *lo = 0x1000 + rng.Below(256) * 8;
+    *hi = *lo + 8 + rng.Below(64) * 8;
+  };
+  for (int step = 0; step < 100000; ++step) {
+    // Few keys, many ranges per key: long same-key probe chains.
+    uint64_t key = 1 + rng.Below(32);
+    uintptr_t lo;
+    uintptr_t hi;
+    random_range(&lo, &hi);
+    switch (rng.Below(8)) {
+      case 0:
+      case 1: {
+        bool fresh = std::find(ref.begin(), ref.end(), Entry{key, lo, hi}) == ref.end();
+        EXPECT_EQ(m.Insert(key, lo, hi), fresh);
+        if (fresh) {
+          ref.push_back(Entry{key, lo, hi});
+        }
+        break;
+      }
+      case 2:
+      case 3:
+        // Erasing a held range as often as inserting keeps the live set a
+        // few hundred ranges (a few per key), so probes both hit and miss.
+        if (!ref.empty()) {
+          size_t victim = rng.Below(ref.size());
+          Entry e = ref[victim];
+          ASSERT_TRUE(m.EraseExact(e.key, e.lo, e.hi));
+          ref.erase(ref.begin() + static_cast<ptrdiff_t>(victim));
+        }
+        break;
+      case 4: {
+        auto it = std::find(ref.begin(), ref.end(), Entry{key, lo, hi});
+        EXPECT_EQ(m.EraseExact(key, lo, hi), it != ref.end());
+        if (it != ref.end()) {
+          ref.erase(it);
+        }
+        break;
+      }
+      default: {
+        // Store-sized queries, so containment both holds and fails.
+        lo = 0x1000 + rng.Below(320) * 8;
+        hi = lo + 8 * (1 + rng.Below(8));
+        bool contains = false;
+        bool overlaps = false;
+        for (const Entry& e : ref) {
+          if (e.key == key) {
+            contains |= e.lo <= lo && hi <= e.hi;
+            overlaps |= e.lo < hi && lo < e.hi;
+          }
+        }
+        ASSERT_EQ(m.FindContaining(key, lo, hi), contains)
+            << "key " << key << " [" << lo << ", " << hi << ") at step " << step;
+        ASSERT_EQ(m.AnyOverlap(key, lo, hi), overlaps)
+            << "key " << key << " [" << lo << ", " << hi << ") at step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(m.size(), ref.size());
+  }
+  for (const Entry& e : ref) {
+    ASSERT_TRUE(m.FindContaining(e.key, e.lo, e.hi)) << "lost range under key " << e.key;
+  }
+  m.Clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_FALSE(m.AnyOverlap(1, 0, ~uintptr_t{0}));
 }
 
 }  // namespace

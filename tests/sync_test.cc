@@ -162,14 +162,21 @@ TEST(EpochReclaimer, SynchronizeWaitsForActiveReader) {
   std::atomic<bool> freed{false};
   er.Retire([&freed] { freed.store(true, std::memory_order_release); });
 
+  std::atomic<bool> done{false};
   std::thread quiescer([&] {
-    // Simulates the CPU reaching its run-queue boundary a little later.
+    // Simulates the CPU reaching its run-queue boundary a little later, and
+    // then again at every later boundary: a single Quiesce could land before
+    // Synchronize's epoch bump and leave it waiting forever.
     for (int i = 0; i < 100; ++i) {
       std::this_thread::yield();
     }
-    er.Quiesce(reader);
+    while (!done.load(std::memory_order_acquire)) {
+      er.Quiesce(reader);
+      std::this_thread::yield();
+    }
   });
   er.Synchronize();
+  done.store(true, std::memory_order_release);
   EXPECT_TRUE(freed.load(std::memory_order_acquire));
   quiescer.join();
   er.Unregister(reader);
